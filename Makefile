@@ -2,11 +2,11 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: verify lint lint-changed test bench scoreboard report sweep-smoke \
-	trace-smoke scenario-smoke
+	trace-smoke scenario-smoke perf-smoke
 
 # The one gate: repro lint --changed + ruff (when installed) + tier-1
 # pytest (which includes the full-tree lint gate) + the structural
-# macro-bench check + the sweep smoke matrix.
+# macro-bench check + the sweep, scenario, trace and perf smokes.
 verify:
 	$(PYTHON) -m repro verify
 
@@ -25,6 +25,12 @@ trace-smoke:
 # chained into verify).
 scenario-smoke:
 	$(PYTHON) -m repro scenario feed-gap-storm --format json --check
+
+# All five BENCHMARK.json workloads at 1/20 length, one repeat (~6 s):
+# proves perf/ still builds and runs through the program's public
+# handles (also chained into verify and its own CI step).
+perf-smoke:
+	$(PYTHON) perf/run.py --smoke
 
 lint:
 	$(PYTHON) -m repro lint

@@ -106,13 +106,13 @@ def test_tick_to_trade_hardware_measured(benchmark, experiment_log):
     over two L1S hops executes in the 100s of nanoseconds."""
     import numpy as np
 
-    from repro.core.ticktotrade import build_tick_to_trade_system
+    def run():
+        system = build_system(design="ticktotrade", seed=77)
+        system.run(5_000_000)
+        return system
 
-    sim, exchange, strategy = benchmark.pedantic(
-        build_tick_to_trade_system, kwargs=dict(seed=77, run_ns=5_000_000),
-        rounds=1, iterations=1,
-    )
-    median = float(np.median(exchange.order_entry.roundtrip_samples))
+    system = benchmark.pedantic(run, rounds=1, iterations=1)
+    median = float(np.median(system.roundtrip_samples()))
     experiment_log.add("E10/design3", "measured tick-to-trade ns (HW path)",
                        522, median, rel_band=0.05)
     assert 100 <= median < 1_000

@@ -55,13 +55,14 @@ def test_microwave_loss_tail(benchmark, experiment_log):
 
     system = benchmark.pedantic(run, rounds=1, iterations=1)
     stats = system.roundtrip_stats()
-    rto = system.order_channel_firm.rto_ns
+    order_channel = system.devices["rel.firm"]
+    rto = order_channel.rto_ns
     # A 5%-lossy path occasionally loses the frame twice (or loses the
     # response too): the observed tail sits at a small multiple of the
     # RTO thanks to exponential backoff (rto + 2*rto for a double loss).
     experiment_log.add("E20/cross-colo", "p99-median tail (RTO multiples) ns",
                        3 * rto, stats.p99 - stats.median, rel_band=0.35)
     # Loss never drops an order — it just delays it by an RTO.
-    assert system.order_channel_firm.stats.failures == 0
-    assert system.order_channel_firm.stats.retransmits > 0
+    assert order_channel.stats.failures == 0
+    assert order_channel.stats.retransmits > 0
     assert stats.p99 - stats.median > rto / 3

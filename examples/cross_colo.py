@@ -32,8 +32,9 @@ def main() -> None:
     print("\nRunning 50 simulated ms...")
     system.run(50 * MILLISECOND)
 
-    mw_stats = system.microwave.stats_from(system.microwave.end_a)
-    print(f"\nmarket data  : {system.normalizer.stats.messages_in:,} messages "
+    microwave = system.devices["wan.microwave.carteret-mahwah"]
+    mw_stats = microwave.stats_from(microwave.end_a)
+    print(f"\nmarket data  : {system.normalizers[0].stats.messages_in:,} messages "
           f"arbitrated from two legs "
           f"({mw_stats.packets_lost} frames lost to microwave fade, "
           f"zero messages missing)")
@@ -41,8 +42,8 @@ def main() -> None:
     stats = system.roundtrip_stats()
     print(f"orders       : {stats.count} round trips, median "
           f"{format_ns(int(stats.median))}, p99 {format_ns(int(stats.p99))}")
-    retransmits = (system.order_channel_firm.stats.retransmits
-                   + system.order_channel_exchange.stats.retransmits)
+    retransmits = (system.devices["rel.firm"].stats.retransmits
+                   + system.devices["rel.exch"].stats.retransmits)
     print(f"               ({retransmits} WAN retransmissions; "
           f"0 orders lost)")
 

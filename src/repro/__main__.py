@@ -14,7 +14,7 @@ Commands
 ``bench``       macro benchmark: whole-testbed events/s into BENCH_perf.json
 ``scoreboard``  run every reproduction bench (the full scoreboard)
 ``lint``        run the repro.lint static-analysis rules over the tree
-``verify``      run all the gates (lint, ruff, pytest, bench, sweep + trace smoke)
+``verify``      run all the gates (lint, ruff, pytest, bench, sweep/trace/perf smokes)
 
 Every run-shaped command (``run``, ``trace``, ``report``, ``sweep``)
 accepts ``--spec FILE`` — a :class:`~repro.core.config.SystemSpec` JSON
@@ -276,8 +276,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     """Chain the gates: repro lint, ruff (if present), tier-1 pytest, the
-    structural macro-bench check (bench runs + BENCH_perf.json shape), and
-    the sweep smoke matrix with its workers=1-vs-N determinism check."""
+    structural macro-bench check (bench runs + BENCH_perf.json shape),
+    the sweep smoke matrix with its workers=1-vs-N determinism check, the
+    scenario and trace-export smokes, and the benchmark-harness smoke."""
     import os
     import shutil
     import subprocess
@@ -332,6 +333,20 @@ def _cmd_verify(args) -> int:
             ],
         )
     )
+
+    # Perf-harness smoke: perf/ drives the program only through public
+    # handles (build_system, system.run, system.normalizers, system.flow,
+    # summarize_run); a 1/20-length run of all five benchmark workloads
+    # fails here, in seconds, if a rename breaks one — not at benchmark
+    # time. Mirrors `make perf-smoke`. perf/ is not packaged, so an
+    # installed copy has nothing to check.
+    perf_run = Path(src).parent / "perf" / "run.py"
+    if perf_run.exists():
+        steps.append(
+            ("perf smoke (--smoke)", [sys.executable, str(perf_run), "--smoke"])
+        )
+    else:
+        print("verify: perf/ not present; skipping the benchmark-harness smoke")
 
     failed: list[str] = []
     for label, cmd in steps:

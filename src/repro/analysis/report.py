@@ -167,12 +167,7 @@ def build_report(
 
     roundtrip = roundtrip_summary(system)
     if roundtrip is None:
-        if hasattr(system, "roundtrip_samples"):
-            notes.append("no round trips completed; try a longer run_ns")
-        else:
-            notes.append(
-                f"design {spec.design} does not expose round-trip stats"
-            )
+        notes.append("no round trips completed; try a longer run_ns")
 
     decomposition = None
     if telemetry.traces:

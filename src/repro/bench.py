@@ -130,17 +130,15 @@ def run_macro(
     # across repeats (the repeats are bit-identical by contract above),
     # so the last repeat's samples describe them exactly.
     p50 = p99 = p999 = 0
-    system = executed_run.system
-    if hasattr(system, "roundtrip_samples"):
-        samples = system.roundtrip_samples()
-        if samples:
-            from repro.telemetry.hdr import LogLinearHistogram
+    samples = executed_run.system.roundtrip_samples()
+    if samples:
+        from repro.telemetry.hdr import LogLinearHistogram
 
-            hist = LogLinearHistogram()
-            hist.record_many(samples)
-            p50 = hist.percentile(0.50)
-            p99 = hist.percentile(0.99)
-            p999 = hist.percentile(0.999)
+        hist = LogLinearHistogram()
+        hist.record_many(samples)
+        p50 = hist.percentile(0.50)
+        p99 = hist.percentile(0.99)
+        p999 = hist.percentile(0.999)
     return MacroResult(
         design, events, best_wall_ns, run_ns, repeats,
         p50_rtt_ns=p50, p99_rtt_ns=p99, p999_rtt_ns=p999,

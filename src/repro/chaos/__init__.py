@@ -7,10 +7,9 @@ this package makes failure a first-class, reproducible input:
 * :mod:`repro.chaos.spec` — :class:`FaultSpec`, the serializable fault
   window (kind, target, onset, duration, magnitude) that rides inside
   a :class:`~repro.core.config.SystemSpec`;
-* :mod:`repro.chaos.targets` — deterministic discovery of fault-targetable
-  devices (links, switches, NICs) in a built system;
 * :mod:`repro.chaos.inject` — the :class:`ChaosController`: fault windows
-  scheduled on the simulation clock, firm lifecycle wiring;
+  resolved against the system's device registry (links, switches, NICs
+  by name) and scheduled on the simulation clock, firm lifecycle wiring;
 * :mod:`repro.chaos.scenarios` — the named scenario catalog behind
   ``python -m repro scenario``;
 * :mod:`repro.chaos.cli` — that command's implementation.

@@ -21,19 +21,22 @@ from __future__ import annotations
 import fnmatch
 
 from repro.chaos.spec import FaultSpec, parse_faults
-from repro.chaos.targets import collect_targets
 from repro.firm.feedhandler import FeedHandler
 from repro.firm.lifecycle import FirmLifecycle, FleetView
 from repro.firm.managed import ManagedStrategy
+from repro.net.link import Link
+from repro.net.nic import Nic
+from repro.net.switch import CommoditySwitch
 from repro.sim.process import Component
 
-# FaultSpec.kind -> device map key in collect_targets()'s result.
+# FaultSpec.kind -> (what the error message calls it, device class): a
+# fault's pool is every device of that class in the system's registry.
 _KIND_DEVICE = {
-    "link_down": "link",
-    "link_loss": "link",
-    "link_rate": "link",
-    "switch_fail": "switch",
-    "nic_drop": "nic",
+    "link_down": ("link", Link),
+    "link_loss": ("link", Link),
+    "link_rate": ("link", Link),
+    "switch_fail": ("switch", CommoditySwitch),
+    "nic_drop": ("nic", Nic),
 }
 
 
@@ -52,20 +55,23 @@ class _Window:
 class ChaosController(Component):
     """Schedules every fault window and aggregates the run's chaos facts."""
 
-    def __init__(self, sim, system, faults: tuple[FaultSpec, ...]):
+    def __init__(self, sim, devices, faults: tuple[FaultSpec, ...]):
+        """``devices`` is the registry to resolve fault targets in: a
+        built system's ``devices.values()``, or a bare simulator's
+        ``components``."""
         super().__init__(sim, "chaos")
+        devices = list(devices)
         self.faults = faults
         self.windows: list[_Window] = []
         self.lifecycles: list[FirmLifecycle] = []
-        targets = collect_targets(system)
         for fault in faults:
-            pool = targets[_KIND_DEVICE[fault.kind]]
+            noun, device_class = _KIND_DEVICE[fault.kind]
+            pool = {d.name: d for d in devices if isinstance(d, device_class)}
             matched = sorted(fnmatch.filter(pool, fault.target))
             if not matched:
                 raise ValueError(
                     f"fault target {fault.target!r} matches no "
-                    f"{_KIND_DEVICE[fault.kind]} in this system; "
-                    f"known: {sorted(pool)}"
+                    f"{noun} in this system; known: {sorted(pool)}"
                 )
             for name in matched:
                 self.windows.append(_Window(fault, pool[name]))
@@ -155,7 +161,7 @@ def install_chaos(system, spec) -> ChaosController:
     :class:`~repro.core.run.RunResult` without new handle plumbing.
     """
     controller = ChaosController(
-        system.sim, system, parse_faults(spec.faults)
+        system.sim, system.devices.values(), parse_faults(spec.faults)
     )
     if spec.lifecycle:
         controller.lifecycles = _wire_lifecycles(system)
@@ -165,44 +171,16 @@ def install_chaos(system, spec) -> ChaosController:
 
 def _wire_lifecycles(system) -> list[FirmLifecycle]:
     """One lifecycle machine per feed handler; order gates per strategy."""
-    handlers: dict[str, FeedHandler] = {}
-    seen: set[int] = set()
-    frontier = [system]
     machines: list[FirmLifecycle] = []
-    while frontier:
-        obj = frontier.pop()
-        if id(obj) in seen:
-            continue
-        seen.add(id(obj))
-        if isinstance(obj, FeedHandler):
-            handlers[obj.name] = obj
-            continue
-        if isinstance(obj, dict):
-            frontier.extend(obj.values())
-            continue
-        if isinstance(obj, (list, tuple)):
-            frontier.extend(obj)
-            continue
-        module = type(obj).__module__ or ""
-        if module.startswith("repro."):
-            attrs = getattr(obj, "__dict__", None)
-            if attrs:
-                frontier.extend(
-                    value
-                    for name, value in attrs.items()
-                    if not name.startswith("_") and name != "sim"
-                )
-    for name in sorted(handlers):
-        handler = handlers[name]
-        machine = FirmLifecycle(handler.sim, f"lifecycle.{name}", handler)
+    for handler in sorted(system.of(FeedHandler), key=lambda h: h.name):
+        machine = FirmLifecycle(handler.sim, f"lifecycle.{handler.name}", handler)
         handler.lifecycle = machine
         machines.append(machine)
     # Managed strategies hold orders while any feed stack is degraded:
     # all of them share the firm-wide FleetView.
     if machines:
         view = FleetView(machines)
-        strategies = getattr(system, "strategies", None) or ()
-        for strategy in strategies:
+        for strategy in system.strategies:
             if isinstance(strategy, ManagedStrategy):
                 strategy.lifecycle = view
     return machines

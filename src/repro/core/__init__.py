@@ -3,17 +3,23 @@
 * :mod:`repro.core.latency` — latency-budget composition (the arithmetic
   behind "half of the overall time through the system is spent in the
   network");
-* :mod:`repro.core.designs` — the three §4 designs as analyzable
-  objects: Design 1 (leaf-spine commodity switches), Design 2
-  (latency-equalized cloud), Design 3 (layer-1 switches);
+* :mod:`repro.core.designs` — the §4 designs as analyzable objects:
+  Design 1 (leaf-spine commodity switches), Design 2 (latency-equalized
+  cloud), Design 3 (layer-1 switches), Design 4 (FPGA-enhanced L1S);
 * :mod:`repro.core.merge` — the L1S merge-bottleneck analysis of §4.3
   and the filtering/compression mitigations of §5;
-* :mod:`repro.core.testbed` — fully-simulated end-to-end builds of
-  Designs 1 and 3 (exchange → normalizer → strategy → gateway →
-  exchange), used by the round-trip experiments;
-* :mod:`repro.core.api` — the :func:`build_system` facade: every
-  testbed (Designs 1–4 plus the cross-colo WAN build) constructed from
-  one :class:`SystemSpec`;
+* :mod:`repro.core.api` — :func:`build_system`: the one builder. Every
+  design (Designs 1–4, the cross-colo WAN build, multi-venue,
+  tick-to-trade) is the same role graph — exchange → normalizers →
+  strategies → gateway → exchange — built once from a
+  :class:`SystemSpec`;
+* :mod:`repro.core.fabrics` — the per-design fabric functions that cable
+  the role graph's NICs, and the knobs each design pins;
+* :mod:`repro.core.system` — :class:`System`, the one type every design
+  builds into: role handles plus a name → device registry;
+* :mod:`repro.core.cloud`, :mod:`repro.core.ticktotrade` — the two
+  devices that live here rather than in ``net``/``firm``: the equalized
+  :class:`CloudFabric` and the FPGA :class:`HardwareStrategy`;
 * :mod:`repro.core.run` — the one execution path: :func:`run_spec`
   turns a :class:`SystemSpec` into a plain-data, JSON-round-trippable
   :class:`RunResult` (what the CLI, bench, and ``repro sweep`` all run
@@ -21,7 +27,7 @@
 * :mod:`repro.core.compare` — the cross-design comparison table.
 """
 
-from repro.core.api import available_designs, build_system, register_builder
+from repro.core.api import available_designs, build_system
 from repro.core.latency import BudgetItem, Category, PathBudget
 from repro.core.designs import (
     Design1LeafSpine,
@@ -32,11 +38,6 @@ from repro.core.designs import (
 )
 from repro.core.merge import MergeAnalysis, analyze_merge, safe_merge_count
 from repro.core.compare import DesignComparison, compare_designs
-from repro.core.testbed import (
-    TradingSystem,
-    momentum_strategies,
-    standalone_nic,
-)
 from repro.core.cloud import CloudFabric
 from repro.core.config import SystemSpec, resolve_design
 from repro.core.run import (
@@ -46,21 +47,25 @@ from repro.core.run import (
     run_spec,
     summarize_run,
 )
-from repro.core.wan_testbed import CrossColoSystem
-from repro.core.multivenue import MultiVenueSystem, build_multi_venue_system
-from repro.core.ticktotrade import HardwareStrategy, build_tick_to_trade_system
+from repro.core.system import System
+from repro.core.ticktotrade import HardwareStrategy
 
-# The retired per-design construction aliases (PR 1's deprecation tier).
-# Their names are assembled at lookup time, never spelled out, so a tree
-# grep for the old surface comes back empty; anyone still importing one
-# gets a hard error pointing at the one construction path.
+# The retired per-design construction aliases (PR 1's deprecation tier)
+# and second construction paths. Their names are assembled at lookup
+# time, never spelled out, so a tree grep for the old surface comes back
+# empty; anyone still importing one gets a hard error pointing at the
+# one construction path.
 _RETIRED_ALIAS_DESIGNS = {
     "design1": "design1",
     "design2": "design2",
     "design3": "design3",
     "design4": "design4",
     "cross_colo": "wan",
+    "multi_venue": "multivenue",
+    "tick_to_trade": "ticktotrade",
 }
+# The four per-design result shapes, likewise assembled: all are System.
+_RETIRED_SYSTEM_PREFIXES = ("Trading", "CrossColo", "MultiVenue", "TickToTrade")
 
 
 def _retired_alias_design(name: str) -> str | None:
@@ -78,6 +83,11 @@ def __getattr__(name: str):
             f'repro.core.build_system(design="{design}", ...) '
             "(see docs/architecture.md)"
         )
+    if name.endswith("System") and name[:-len("System")] in _RETIRED_SYSTEM_PREFIXES:
+        raise ImportError(
+            f"repro.core.{name} was removed; every design builds into "
+            "repro.core.System (see docs/architecture.md)"
+        )
     raise AttributeError(f"module 'repro.core' has no attribute {name!r}")
 
 __all__ = [
@@ -85,15 +95,10 @@ __all__ = [
     "Category",
     "available_designs",
     "build_system",
-    "register_builder",
-    "momentum_strategies",
-    "standalone_nic",
     "CloudFabric",
-    "CrossColoSystem",
-    "MultiVenueSystem",
-    "build_multi_venue_system",
     "ExecutedRun",
     "RunResult",
+    "System",
     "SystemSpec",
     "execute_spec",
     "resolve_design",
@@ -104,12 +109,10 @@ __all__ = [
     "Design3L1S",
     "Design4EnhancedL1S",
     "HardwareStrategy",
-    "build_tick_to_trade_system",
     "DesignComparison",
     "MergeAnalysis",
     "NicPlanVerdict",
     "PathBudget",
-    "TradingSystem",
     "analyze_merge",
     "compare_designs",
     "safe_merge_count",

@@ -1,14 +1,15 @@
-"""The public construction facade: one entry point for every testbed.
+"""The public construction facade: one builder for every design.
 
-Seven fully-wired systems live in this package — Design 1 (leaf-spine),
-Design 2 (equalized cloud), Design 3 (L1S), Design 4 (FPGA-enhanced
-L1S), the cross-colo WAN deployment, and two auxiliary testbeds (the
-multi-venue aggregation build and the hardware tick-to-trade pipeline).
-Historically each had its own
-``build_*`` function with a slightly different signature; downstream
-code had to know which module to import and which knobs each builder
-accepts. :func:`build_system` replaces that: every system is described
-by a :class:`~repro.core.config.SystemSpec` and built the same way::
+Seven fully-wired systems come out of this module — Design 1
+(leaf-spine), Design 2 (equalized cloud), Design 3 (L1S), Design 4
+(FPGA-enhanced L1S), the cross-colo WAN deployment, and two auxiliary
+testbeds (the multi-venue aggregation build and the hardware
+tick-to-trade pipeline) — and all seven are the same role graph,
+exchange → normalizers → strategies → gateway → exchange, over a
+different fabric. :func:`build_system` builds that role graph once and
+hands its NICs to the design's *fabric function*
+(:data:`repro.core.fabrics.FABRICS`) to be cabled; every design returns
+the same :class:`~repro.core.system.System`::
 
     from repro.core import build_system
     from repro.core.config import SystemSpec
@@ -16,70 +17,24 @@ by a :class:`~repro.core.config.SystemSpec` and built the same way::
     system = build_system(SystemSpec(design="design3", seed=7))
     # or, equivalently:
     system = build_system(design="design3", seed=7)
-
-Builder modules register themselves against a design name with
-:func:`register_builder`; the registry is populated lazily on the first
-:func:`build_system` call so importing this module stays cheap and free
-of circular imports.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, Callable
+from types import SimpleNamespace
 
 from repro.core.config import ALL_DESIGNS, SystemSpec
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.testbed import TradingSystem
-
-# design name -> spec adapter. Builder modules append to this via
-# register_builder at import time; build_system imports them on first use.
-_BUILDERS: dict[str, Callable[[SystemSpec], "TradingSystem"]] = {}
-
-_BUILDER_MODULES = (
-    "repro.core.testbed",
-    "repro.core.cloud",
-    "repro.core.testbed4",
-    "repro.core.wan_testbed",
-    "repro.core.multivenue",
-    "repro.core.ticktotrade",
-)
-
-
-def register_builder(design: str):
-    """Register the decorated ``spec -> system`` adapter as ``design``'s builder.
-
-    Used by the testbed modules themselves; the adapter receives a
-    validated :class:`SystemSpec` and returns the built system.
-    """
-    if design not in ALL_DESIGNS:
-        raise ValueError(
-            f"unknown design {design!r}; expected one of {ALL_DESIGNS}"
-        )
-
-    def decorate(adapter: Callable[[SystemSpec], "TradingSystem"]):
-        _BUILDERS[design] = adapter
-        return adapter
-
-    return decorate
-
-
-_builders_loaded = False
-
-
-def _load_builders() -> None:
-    # A partially-populated registry is normal (importing repro.core pulls
-    # in several builder modules, each self-registering), so completeness
-    # is tracked with a flag rather than inferred from len(_BUILDERS).
-    global _builders_loaded
-    if _builders_loaded:
-        return
-    import importlib
-
-    for module in _BUILDER_MODULES:
-        importlib.import_module(module)
-    _builders_loaded = True
+from repro.core.fabrics import FABRICS, FIRM_FEED, ROLE_DEFAULTS, Roles, given
+from repro.core.system import System
+from repro.exchange.exchange import Exchange
+from repro.exchange.publisher import alphabetical_scheme, hashed_scheme
+from repro.firm.gateway import OrderGateway
+from repro.firm.normalizer import Normalizer
+from repro.sim.kernel import Simulator
+from repro.timing.latency import LatencyRecorder
+from repro.workload.orderflow import OrderFlowGenerator
+from repro.workload.symbols import make_universe
 
 
 def available_designs() -> tuple[str, ...]:
@@ -87,32 +42,121 @@ def available_designs() -> tuple[str, ...]:
     return ALL_DESIGNS
 
 
-def build_system(spec: SystemSpec | None = None, **overrides):
-    """Build any of the five testbeds from one spec.
+def build_system(spec: SystemSpec | None = None, **overrides) -> System:
+    """Build any of the seven designs from one spec.
 
     ``spec`` may be omitted and the system described entirely by keyword
     overrides (``build_system(design="design4", seed=3)``); when both
     are given, overrides are applied on top of the spec with
     :func:`dataclasses.replace`, re-running validation.
 
-    Returns the built (not yet run) system: a
-    :class:`~repro.core.testbed.TradingSystem` for the four colo
-    designs, a :class:`~repro.core.wan_testbed.CrossColoSystem` for
-    ``design="wan"``, a :class:`~repro.core.multivenue.MultiVenueSystem`
-    for ``design="multivenue"``, and a
-    :class:`~repro.core.ticktotrade.TickToTradeSystem` for
-    ``design="ticktotrade"``.
+    Returns the built (not yet run) :class:`~repro.core.system.System`.
+    Knobs a design does not consume are ignored, never rejected: the
+    design's entry in :data:`~repro.core.fabrics.FABRICS` pins them.
     """
     if spec is None:
         spec = SystemSpec(**overrides)
     elif overrides:
         spec = replace(spec, **overrides)
-    _load_builders()
-    try:
-        adapter = _BUILDERS[spec.design]
-    except KeyError:
-        raise ValueError(
-            f"no builder registered for design {spec.design!r}; "
-            f"known: {sorted(_BUILDERS)}"
-        ) from None
-    return adapter(spec)
+    wire, pinned = FABRICS[spec.design]
+    k = SimpleNamespace(**{**ROLE_DEFAULTS, **vars(spec), **pinned})
+    sim = Simulator(seed=k.seed, telemetry=k.telemetry)
+    universe = make_universe(k.n_symbols, seed=k.seed)
+    recorder = LatencyRecorder()
+
+    # Role NICs, uncabled, in rack order: exchange(s), normalizers,
+    # strategies, gateway.
+    roles = Roles(sim, k)
+    for v in k.venues:
+        roles.exchange_nics.append(
+            roles.pair(k.exchange_host.format(v=v), "feed", "orders")
+        )
+        for i in range(k.n_normalizers):
+            roles.norm_nics.append(
+                roles.pair(k.norm_host.format(v=v, i=i), "md", "pub")
+            )
+    for i in range(k.n_strategies):
+        roles.strat_nics.append(roles.pair(k.strat_host.format(i=i), "md", "orders"))
+    if k.gateway:
+        roles.gw_nics = roles.pair(k.gw_host, "strat", "exch")
+
+    roles.exchanges = exchanges = [
+        Exchange(
+            sim, f"exch{v}", list(universe.names),
+            alphabetical_scheme(k.exchange_partitions),
+            feed_nic_a=feed, orders_nic=orders,
+            matching_latency_ns=k.matching_latency_ns,
+            coalesce_window_ns=k.coalesce_window_ns,
+        )
+        for v, (feed, orders) in zip(k.venues, roles.exchange_nics)
+    ]
+
+    handles = wire(roles)
+    membership = handles.get("fabric")
+    software = given(function_latency_ns=k.function_latency_ns)
+
+    firm_scheme = hashed_scheme(k.firm_partitions)
+    md_addresses = [md.address for md, _orders in roles.strat_nics]
+    normalizers = []
+    for v, exchange in zip(k.venues, exchanges):
+        for i in range(k.n_normalizers):
+            rx, tx = roles.norm_nics[len(normalizers)]
+            normalizer = Normalizer(
+                sim, k.norm_name.format(v=v, i=i), v, rx, tx, FIRM_FEED,
+                firm_scheme,
+                unicast_recipients=None if k.tenant_multicast else md_addresses,
+                **software,
+            )
+            # Normalizers split their venue's feed: each owns a subset
+            # of the exchange's partitions (the partitioned-workload
+            # model of §3). Where membership is physical wiring the NIC
+            # filter keeps exactly that share.
+            for group in exchange.publisher.groups:
+                if group.partition % k.n_normalizers == i:
+                    normalizer.feed.subscribe(group, membership)
+            normalizers.append(normalizer)
+
+    gateway = None
+    order_address = exchanges[0].order_entry.nic.address
+    if roles.gw_nics:
+        gateway = OrderGateway(
+            sim, "gw0", *roles.gw_nics,
+            risk_checker=handles.get("risk"), **software,
+        )
+        for exchange in exchanges:
+            gateway.connect_exchange(exchange.name, exchange.order_entry.nic.address)
+        order_address = roles.gw_nics[0].address
+
+    # Strategies listen to the normalized feed when there is a
+    # normalizer tier, to the raw exchange feed when there is none.
+    strategies = k.strategies(roles, universe, recorder, order_address)
+    if k.tenant_multicast:
+        upstream = roles.firm_groups() if normalizers else exchanges[0].publisher.groups
+        for strategy in strategies:
+            for group in upstream:
+                strategy.subscribe(group, membership)
+
+    flows = []
+    if k.ambient_flow:
+        flows = [
+            OrderFlowGenerator(
+                sim, k.flow_name.format(f=f), exchange, universe, k.flow_rate_per_s
+            )
+            for f, exchange in enumerate(exchanges)
+        ]
+
+    # The registry is filled where devices are born (Component and Link
+    # register with their simulator); a reused name would make a chaos
+    # target, an instrument name and an RNG stream ambiguous, so it is
+    # an error here, where name -> device is made.
+    devices: dict[str, object] = {}
+    for device in sim.components:
+        if devices.setdefault(device.name, device) is not device:
+            raise ValueError(
+                f"duplicate device name {device.name!r} in design {spec.design}"
+            )
+    return System(
+        sim=sim, exchanges=exchanges, normalizers=normalizers,
+        strategies=strategies, gateway=gateway, flows=flows,
+        recorder=recorder, universe=universe, devices=devices, **handles,
+    )

@@ -8,27 +8,15 @@ latency-equalized; (iii) all tenants see the same delivery bound.
 The catch the paper identifies is also implemented: the fabric offers
 **no multicast for tenant-internal traffic**. A normalizer fanning its
 feed to N strategies must send N unicast copies, each paying the full
-equalized delivery bound — which is what this module's
-``design2`` builder wires so the cloud round trip can be *measured*
-next to Designs 1 and 3.
+equalized delivery bound — which is what ``design2``'s fabric function
+(:mod:`repro.core.fabrics`) wires so the cloud round trip can be
+*measured* next to Designs 1 and 3.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.api import register_builder
-from repro.core.testbed import (
-    EXCHANGE_ID,
-    EXCHANGE_KEY,
-    TradingSystem,
-    momentum_strategies,
-    standalone_nic,
-)
-from repro.exchange.exchange import Exchange
-from repro.exchange.publisher import alphabetical_scheme, hashed_scheme
-from repro.firm.gateway import OrderGateway
-from repro.firm.normalizer import Normalizer
 from repro.net.addressing import (
     Address,
     EndpointAddress,
@@ -38,11 +26,8 @@ from repro.net.addressing import (
 from repro.net.link import Link
 from repro.net.nic import Nic
 from repro.net.packet import Packet
-from repro.sim.kernel import MICROSECOND, Simulator
+from repro.sim.kernel import Simulator
 from repro.sim.process import Component
-from repro.timing.latency import LatencyRecorder
-from repro.workload.orderflow import OrderFlowGenerator
-from repro.workload.symbols import make_universe
 
 DEFAULT_EQUALIZED_NS = 50_000  # a DBO-class delivery guarantee
 
@@ -149,100 +134,3 @@ class CloudFabric(Component):
         if packet.trace is not None:
             packet.trace.record(self._trace_point, "cloud", self.now)
         link.send(packet, self)
-
-
-def _build_design2(
-    seed: int = 1,
-    n_symbols: int = 12,
-    n_strategies: int = 3,
-    flow_rate_per_s: float = 40_000.0,
-    exchange_partitions: int = 4,
-    equalized_delivery_ns: int = DEFAULT_EQUALIZED_NS,
-    function_latency_ns: int = 2_000,
-    matching_latency_ns: int = 10_000,
-    telemetry: bool = False,
-) -> TradingSystem:
-    """A complete Design 2 system on the equalized cloud fabric.
-
-    Exchange → normalizer rides provider multicast; normalizer →
-    strategies is *unicast per recipient* (the §4.2 dissemination cost);
-    orders flow unicast. Every leg pays the equalization bound.
-    """
-    sim = Simulator(seed=seed, telemetry=telemetry)
-    universe = make_universe(n_symbols, seed=seed)
-    recorder = LatencyRecorder()
-    fabric = CloudFabric(sim, equalized_delivery_ns=equalized_delivery_ns)
-
-    exchange_feed_nic = standalone_nic(sim, "exchange", "feed")
-    exchange_orders_nic = standalone_nic(sim, "exchange", "orders")
-    norm_rx = standalone_nic(sim, "norm0", "md")
-    norm_tx = standalone_nic(sim, "norm0", "pub")
-    strat_md = [standalone_nic(sim, f"strat{i}", "md") for i in range(n_strategies)]
-    strat_orders = [
-        standalone_nic(sim, f"strat{i}", "orders") for i in range(n_strategies)
-    ]
-    gw_strat_nic = standalone_nic(sim, "gw0", "strat")
-    gw_exch_nic = standalone_nic(sim, "gw0", "exch")
-    for nic in (
-        exchange_feed_nic, exchange_orders_nic, norm_rx, norm_tx,
-        *strat_md, *strat_orders, gw_strat_nic, gw_exch_nic,
-    ):
-        fabric.register(nic)
-
-    exchange = Exchange(
-        sim,
-        EXCHANGE_KEY,
-        list(universe.names),
-        alphabetical_scheme(exchange_partitions),
-        feed_nic_a=exchange_feed_nic,
-        orders_nic=exchange_orders_nic,
-        matching_latency_ns=matching_latency_ns,
-        coalesce_window_ns=MICROSECOND,
-    )
-
-    # Exchange feed: provider multicast, equalized (assumption (ii)).
-    normalizer = Normalizer(
-        sim, "norm0", EXCHANGE_ID, norm_rx, norm_tx, "norm",
-        hashed_scheme(1),  # partitioning buys nothing without multicast
-        function_latency_ns=function_latency_ns,
-        unicast_recipients=[nic.address for nic in strat_md],
-    )
-    for group in exchange.publisher.groups:
-        fabric.join(group, norm_rx)
-        normalizer.feed.subscribe(group)  # NIC filter only; fabric delivers
-
-    gateway = OrderGateway(
-        sim, "gw0", gw_strat_nic, gw_exch_nic,
-        function_latency_ns=function_latency_ns,
-    )
-    gateway.connect_exchange(EXCHANGE_KEY, exchange_orders_nic.address)
-
-    strategies = momentum_strategies(
-        sim, universe, strat_md, strat_orders, gw_strat_nic.address,
-        recorder, function_latency_ns,
-    )
-
-    flow = OrderFlowGenerator(sim, "flow", exchange, universe, flow_rate_per_s)
-    system = TradingSystem(
-        sim=sim, exchange=exchange, normalizers=[normalizer],
-        strategies=strategies, gateway=gateway, flow=flow, recorder=recorder,
-        universe=universe,
-    )
-    system.cloud = fabric  # type: ignore[attr-defined]
-    return system
-
-
-@register_builder("design2")
-def _design2_from_spec(spec) -> TradingSystem:
-    return _build_design2(
-        seed=spec.seed,
-        n_symbols=spec.n_symbols,
-        n_strategies=spec.n_strategies,
-        flow_rate_per_s=spec.flow_rate_per_s,
-        exchange_partitions=spec.exchange_partitions,
-        equalized_delivery_ns=spec.equalized_delivery_ns,
-        function_latency_ns=spec.function_latency_ns,
-        matching_latency_ns=spec.matching_latency_ns,
-        telemetry=spec.telemetry,
-    )
-

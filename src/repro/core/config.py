@@ -1,8 +1,8 @@
 """Config-driven system construction.
 
 A downstream user shouldn't need to know the wiring internals to stand
-up an experiment: :class:`SystemSpec` captures every knob the testbed
-builders expose, validates it, round-trips through JSON, and builds the
+up an experiment: :class:`SystemSpec` captures every knob the designs
+consume, validates it, round-trips through JSON, and builds the
 system through the :mod:`repro.core.api` facade. This is also what the
 CLI's ``run`` and ``trace`` commands consume.
 """
@@ -18,13 +18,13 @@ from typing import TYPE_CHECKING
 from repro.sim.kernel import MILLISECOND
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.testbed import TradingSystem
+    from repro.core.system import System
 
 # The paper's §4 designs plus the cross-colo WAN deployment: the specs
 # the CLI sweeps and the comparison tables cover.
 DESIGNS = ("design1", "design2", "design3", "design4", "wan")
 # Auxiliary testbeds: fully spec-buildable, but not part of the design
-# comparison (different handle types / workloads).
+# comparison (different role graphs / workloads).
 AUX_DESIGNS = ("multivenue", "ticktotrade")
 ALL_DESIGNS = DESIGNS + AUX_DESIGNS
 
@@ -174,12 +174,12 @@ class SystemSpec:
 
     # -- building ------------------------------------------------------------
 
-    def build(self) -> "TradingSystem":
+    def build(self) -> "System":
         from repro.core.api import build_system
 
         return build_system(self)
 
-    def build_and_run(self) -> "TradingSystem":
+    def build_and_run(self) -> "System":
         from repro.core.run import execute_spec
 
         return execute_spec(self).system

@@ -30,9 +30,10 @@ processes, on different days — produce byte-identical serializations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any
 
 from repro.core.config import SystemSpec, unknown_field_error
+from repro.core.system import System
+from repro.firm.strategy import Strategy
 from repro.sim.kernel import SECOND
 from repro.telemetry.hdr import LogLinearHistogram
 from repro.telemetry.profile import KernelProfiler
@@ -49,7 +50,7 @@ class ExecutedRun:
     """A just-finished run, live handles still attached."""
 
     spec: SystemSpec
-    system: Any
+    system: System
     profiler: KernelProfiler | None
     wall_ns: int
 
@@ -87,14 +88,8 @@ def execute_spec(
     return ExecutedRun(spec=spec, system=system, profiler=profiler, wall_ns=wall_ns)
 
 
-def roundtrip_summary(system: Any) -> dict | None:
-    """Round-trip stats as a plain dict, or ``None`` if there are none.
-
-    Works on any system exposing ``roundtrip_samples()`` (the four colo
-    designs, the WAN build, and the tick-to-trade pipeline).
-    """
-    if not hasattr(system, "roundtrip_samples"):
-        return None
+def roundtrip_summary(system: System) -> dict | None:
+    """Round-trip stats as a plain dict, or ``None`` if there are none."""
     samples = system.roundtrip_samples()
     if not samples:
         return None
@@ -110,29 +105,21 @@ def roundtrip_summary(system: Any) -> dict | None:
     }
 
 
-def _workload_summary(system: Any) -> dict:
-    """Feed/order/fill totals readable off any testbed's handles."""
-    totals: dict[str, int] = {}
-    exchange = getattr(system, "exchange", None)
-    exchanges = [exchange] if exchange is not None else list(
-        getattr(system, "exchanges", ()) or ()
-    )
-    if exchanges:
-        totals["feed_frames"] = sum(
-            ex.publisher.stats.frames for ex in exchanges
-        )
-    gateway = getattr(system, "gateway", None)
-    if gateway is not None:
-        totals["orders_in"] = gateway.stats.orders_in
-    strategies = getattr(system, "strategies", None)
-    if strategies:
-        fills = sum(
-            s.stats.fills for s in strategies if hasattr(s, "stats")
-        )
-        totals["fills"] = fills
-    arbitrage = getattr(system, "arbitrage", None)
-    if arbitrage is not None:
-        totals["fills"] = arbitrage.stats.fills
+def _workload_summary(system: System) -> dict:
+    """Feed/order/fill totals read off the system's role handles.
+
+    A key appears only when its role exists: no gateway, no
+    ``orders_in``; no software strategy (the hardware pipeline keeps no
+    fill stats), no ``fills``.
+    """
+    totals: dict[str, int] = {
+        "feed_frames": sum(ex.publisher.stats.frames for ex in system.exchanges)
+    }
+    if system.gateway is not None:
+        totals["orders_in"] = system.gateway.stats.orders_in
+    software = [s for s in system.strategies if isinstance(s, Strategy)]
+    if software:
+        totals["fills"] = sum(s.stats.fills for s in software)
     return totals
 
 
@@ -272,12 +259,7 @@ def summarize_run(executed: ExecutedRun) -> RunResult:
 
     roundtrip = roundtrip_summary(system)
     if roundtrip is None:
-        if hasattr(system, "roundtrip_samples"):
-            notes.append("no round trips completed; try a longer run_ns")
-        else:
-            notes.append(
-                f"design {spec.design} does not expose round-trip samples"
-            )
+        notes.append("no round trips completed; try a longer run_ns")
 
     counters: dict = {}
     gauges: dict = {}
@@ -286,12 +268,11 @@ def summarize_run(executed: ExecutedRun) -> RunResult:
     # The round-trip histogram is built from the raw samples, not from
     # telemetry, so sweep cells can merge true tail percentiles even
     # with telemetry off (the sweep default).
-    if hasattr(system, "roundtrip_samples"):
-        samples = system.roundtrip_samples()
-        if samples:
-            hist = LogLinearHistogram()
-            hist.record_many(samples)
-            histograms["roundtrip_ns"] = hist.to_dict()
+    samples = system.roundtrip_samples()
+    if samples:
+        hist = LogLinearHistogram()
+        hist.record_many(samples)
+        histograms["roundtrip_ns"] = hist.to_dict()
     telemetry = system.sim.telemetry
     if telemetry is not None:
         metrics = telemetry.metrics.to_dict()

@@ -8,7 +8,6 @@ See ``docs/lint.md`` for a worked example.
 """
 
 from repro.lint.rules import (  # noqa: F401  (imports register the rules)
-    builders,
     determinism,
     hotpath,
     hygiene,
@@ -20,7 +19,6 @@ from repro.lint.rules import (  # noqa: F401  (imports register the rules)
 )
 
 __all__ = [
-    "builders",
     "determinism",
     "hotpath",
     "hygiene",

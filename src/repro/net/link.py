@@ -193,6 +193,7 @@ class Link:
         self.queue_limit_bytes = queue_limit_bytes
         self._a_to_b = _Direction(self, "a->b", end_b)
         self._b_to_a = _Direction(self, "b->a", end_a)
+        sim.components.append(self)  # a Link is a device but not a Component
 
     def serialization_ns(self, frame_bytes: int) -> int:
         """Line time for one frame, including preamble + inter-frame gap."""

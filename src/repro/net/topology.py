@@ -76,6 +76,17 @@ class LeafSpineTopology:
         """Create a NIC on ``host``, cable it to ``leaf``, register it."""
         address = EndpointAddress(host.host, nic_name)
         nic = Nic(self.sim, f"nic.{address}", address)
+        return self.attach_nic(host, nic, leaf, bandwidth_bps)
+
+    def attach_nic(
+        self,
+        host: HostStack,
+        nic: Nic,
+        leaf: CommoditySwitch,
+        bandwidth_bps: float = 10e9,
+    ) -> Nic:
+        """Cable an existing, uncabled ``nic`` of ``host`` to ``leaf``."""
+        address = nic.address
         host.add_nic(nic)
         link = Link(
             self.sim,

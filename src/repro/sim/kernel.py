@@ -133,6 +133,11 @@ class Simulator:
         self._stopped = False
         self.events_executed = 0
         self.rng = RngStreams(seed)
+        # Every Component and Link built on this simulator, in birth
+        # order: the flat device registry. Registration never rejects a
+        # reused name (unit tests rebuild devices on one simulator);
+        # uniqueness is checked where a name -> device map is made.
+        self.components: list = []
         self._trace_hooks: list[Callable[[int, Callable], None]] = []
         # Wall-clock profiling is opt-in like telemetry: None keeps the
         # dispatch loop on its unclocked path; attach_profiler() swaps

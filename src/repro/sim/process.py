@@ -28,6 +28,7 @@ class Component:
         self.sim = sim
         self.name = name
         self._started = False
+        sim.components.append(self)
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -1,8 +1,8 @@
 """BAD: imports another module's underscore-private names."""
 
-from repro.core.testbed import _build_design1  # lint: private cross-import
+from repro.core.run import _workload_summary  # lint: private cross-import
 from repro.net.switch import _forward  # lint: private cross-import
 
 
 def build():
-    return _build_design1(seed=_forward)
+    return _workload_summary(_forward)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.chaos.inject import ChaosController
 from repro.chaos.spec import parse_faults
-from repro.chaos.targets import collect_targets
 from repro.net.addressing import EndpointAddress
 from repro.net.link import Link
 from repro.net.nic import Nic
@@ -40,15 +39,24 @@ def _faults(*dicts):
     return parse_faults(dicts)
 
 
-def test_collect_targets_finds_devices_through_containers():
+def test_controller_resolves_targets_in_the_registry_it_is_given():
+    """Devices register with their simulator as they are built; the
+    controller filters that registry by device class and name."""
     sim = Simulator(seed=1)
     link, _, _ = _link(sim)
     switch = CommoditySwitch(sim, "spine0", SWITCH_GENERATIONS[0])
     nic = Nic(sim, "nic.a", EndpointAddress("a"))
-    targets = collect_targets({"handles": [link, switch, (nic,)]})
-    assert list(targets["link"]) == ["wire"]
-    assert list(targets["switch"]) == ["spine0"]
-    assert list(targets["nic"]) == ["nic.a"]
+    assert sim.components == [link, switch, nic]
+    controller = ChaosController(
+        sim, sim.components,
+        _faults(
+            {"kind": "link_down", "target": "*", "at_ns": 0, "duration_ns": 1},
+            {"kind": "switch_fail", "target": "*", "at_ns": 0, "duration_ns": 1},
+            {"kind": "nic_drop", "target": "*", "magnitude": 0.5,
+             "at_ns": 0, "duration_ns": 1},
+        ),
+    )
+    assert [w.device for w in controller.windows] == [link, switch, nic]
 
 
 def test_unmatched_target_is_a_loud_error_naming_known_devices():
@@ -56,7 +64,7 @@ def test_unmatched_target_is_a_loud_error_naming_known_devices():
     link, _, _ = _link(sim)
     with pytest.raises(ValueError) as excinfo:
         ChaosController(
-            sim, [link],
+            sim, sim.components,
             _faults({"kind": "link_down", "target": "wrie",
                      "at_ns": 0, "duration_ns": 10}),
         )
@@ -68,7 +76,7 @@ def test_link_down_window_drops_then_restores():
     sim = Simulator(seed=1)
     link, a, b = _link(sim)
     ChaosController(
-        sim, [link],
+        sim, sim.components,
         _faults({"kind": "link_down", "target": "wire",
                  "at_ns": 1_000, "duration_ns": 10_000}),
     )
@@ -84,7 +92,7 @@ def test_link_rate_window_scales_and_restores_bandwidth():
     sim = Simulator(seed=1)
     link, _, _ = _link(sim, bandwidth_bps=10e9)
     controller = ChaosController(
-        sim, [link],
+        sim, sim.components,
         _faults({"kind": "link_rate", "target": "wire", "magnitude": 0.1,
                  "at_ns": 1_000, "duration_ns": 1_000}),
     )
@@ -101,7 +109,7 @@ def test_switch_fail_window_blackholes_then_restores():
     sim = Simulator(seed=1)
     switch = CommoditySwitch(sim, "spine0", SWITCH_GENERATIONS[0])
     ChaosController(
-        sim, [switch],
+        sim, sim.components,
         _faults({"kind": "switch_fail", "target": "spine*",
                  "at_ns": 500, "duration_ns": 1_000}),
     )
@@ -122,7 +130,7 @@ def test_nic_drop_draws_from_its_own_stream_and_restores():
     got = []
     nic_b.bind(got.append)
     ChaosController(
-        sim, [link],
+        sim, sim.components,
         _faults({"kind": "nic_drop", "target": "nic.b", "magnitude": 0.5,
                  "at_ns": 0, "duration_ns": 10_000_000}),
     )
@@ -148,7 +156,7 @@ def test_same_seed_same_chaos_drops():
         nic_b.attach(link)
         nic_b.bind(lambda payload: None)
         ChaosController(
-            sim, [link],
+            sim, sim.components,
             _faults({"kind": "nic_drop", "target": "nic.b",
                      "magnitude": 0.3, "at_ns": 0,
                      "duration_ns": 10_000_000}),
@@ -172,7 +180,7 @@ def test_glob_target_matches_every_device_in_sorted_order():
         for i in range(3)
     ]
     controller = ChaosController(
-        sim, [links, switches],
+        sim, sim.components,
         _faults({"kind": "switch_fail", "target": "spine*",
                  "at_ns": 0, "duration_ns": 10}),
     )

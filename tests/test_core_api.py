@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.core import available_designs, build_system
+from repro.core import System, available_designs, build_system
 from repro.core.config import ALL_DESIGNS, AUX_DESIGNS, DESIGNS, SystemSpec
+from repro.core.fabrics import FABRICS
+from repro.net.l1switch import Layer1Switch
+from repro.net.link import Link
+from repro.net.nic import Nic
 
 
 def test_available_designs_matches_config():
@@ -20,12 +24,49 @@ def test_every_design_builds_and_runs(design):
     assert system.exchange.publisher.stats.frames > 0
 
 
+def test_every_design_has_exactly_one_fabric():
+    assert tuple(FABRICS) == ALL_DESIGNS
+
+
+@pytest.mark.parametrize("n_normalizers", [1, 2])
+@pytest.mark.parametrize("design", ALL_DESIGNS)
+def test_device_registry_is_everything_that_was_built(design, n_normalizers):
+    """One system type, and a flat registry filled where devices are
+    born: nothing the fabric cabled is reachable only through handles."""
+    system = build_system(design=design, n_normalizers=n_normalizers)
+    assert type(system) is System
+    assert list(system.devices.values()) == system.sim.components
+    assert list(system.devices) == [d.name for d in system.sim.components]
+    registered = set(map(id, system.devices.values()))
+    for nic in system.of(Nic):
+        assert nic.link is None or id(nic.link) in registered
+    for link in system.of(Link):
+        assert id(link.end_a) in registered and id(link.end_b) in registered
+    roles = [*system.exchanges, *system.normalizers, *system.strategies,
+             *system.flows]
+    assert all(system.devices[role.name] is role for role in roles)
+
+
+def test_duplicate_device_name_at_build_time_raises(monkeypatch):
+    wire, pinned = FABRICS["design3"]
+
+    def wire_twice(roles):
+        handles = wire(roles)
+        Layer1Switch(roles.sim, "l1s-a")
+        return handles
+
+    monkeypatch.setitem(FABRICS, "design3", (wire_twice, pinned))
+    with pytest.raises(ValueError, match="duplicate device name 'l1s-a'"):
+        build_system(design="design3")
+
+
 def test_aux_designs_build_through_facade():
     multivenue = build_system(design="multivenue", seed=4, n_symbols=6,
                               with_risk_gate=True)
     multivenue.run(3_000_000)
-    assert multivenue.fills() >= 0
+    assert sum(s.stats.fills for s in multivenue.strategies) >= 0
     assert multivenue.risk is not None
+    assert multivenue.gateway.risk_checker is multivenue.risk
     assert all(e.publisher.stats.frames > 0 for e in multivenue.exchanges)
 
     ticktotrade = build_system(design="ticktotrade", seed=77)
@@ -47,7 +88,8 @@ def test_unknown_design_rejected():
 
 @pytest.mark.parametrize(
     "design",
-    ["design1", "design2", "design3", "design4", "cross_colo"],
+    ["design1", "design2", "design3", "design4", "cross_colo",
+     "multi_venue", "tick_to_trade"],
 )
 def test_retired_builder_aliases_raise_with_migration_message(design):
     """The PR-1 compatibility shims are gone: importing one must fail
@@ -58,6 +100,16 @@ def test_retired_builder_aliases_raise_with_migration_message(design):
     legacy = "build_" + design + "_system"
     with pytest.raises(ImportError, match="build_system"):
         getattr(core, legacy)
+
+
+@pytest.mark.parametrize(
+    "prefix", ["Trading", "CrossColo", "MultiVenue", "TickToTrade"]
+)
+def test_retired_system_types_raise_pointing_at_the_one_system(prefix):
+    import repro.core as core
+
+    with pytest.raises(ImportError, match="repro.core.System"):
+        getattr(core, prefix + "System")
 
 
 def test_retired_strategies_module_raises_with_migration_message():

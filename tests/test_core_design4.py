@@ -52,7 +52,7 @@ class TestSimulated:
         assert d4_median - d3_median == pytest.approx(190, abs=40)
 
     def test_group_forwarding_in_the_fabric(self, system):
-        fpga_a, fpga_b = system.fpga_switches
+        fpga_a, fpga_b = system.devices["fpga-a"], system.devices["fpga-b"]
         assert fpga_a.stats.packets_in > 0
         assert fpga_b.copies_out if hasattr(fpga_b, "copies_out") else True
         assert fpga_b.stats.copies_out >= fpga_b.stats.packets_in

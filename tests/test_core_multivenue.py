@@ -2,15 +2,26 @@
 
 import pytest
 
-from repro.core.multivenue import build_multi_venue_system
+from repro.core import build_system
 from repro.sim.kernel import MILLISECOND
+
+# The two-venue build with the knobs its stand-alone builder used to
+# default (the spec's own defaults are the colo designs').
+MULTIVENUE = dict(
+    design="multivenue", seed=42, n_symbols=10, flow_rate_per_s=25_000.0
+)
 
 
 @pytest.fixture(scope="module")
 def system():
-    system = build_multi_venue_system(seed=42)
+    system = build_system(**MULTIVENUE)
     system.run(60 * MILLISECOND)
     return system
+
+
+def arb(system):
+    (strategy,) = system.strategies
+    return strategy
 
 
 def test_both_venues_trade(system):
@@ -20,15 +31,15 @@ def test_both_venues_trade(system):
 
 
 def test_arb_consumes_both_venues_through_one_feed(system):
-    venues_seen = {venue for (_s, venue) in system.arbitrage._bbos}
+    venues_seen = {venue for (_s, venue) in arb(system)._bbos}
     assert venues_seen == {1, 2}
-    assert system.arbitrage.stats.updates_in > 500
+    assert arb(system).stats.updates_in > 500
 
 
 def test_arb_fires_and_fills_on_dislocations(system):
-    assert system.arbitrage.opportunities > 0
-    assert system.arbitrage.stats.orders_sent >= 2  # IOC pairs
-    assert system.fills() > 0
+    assert arb(system).opportunities > 0
+    assert arb(system).stats.orders_sent >= 2  # IOC pairs
+    assert arb(system).stats.fills > 0
     # Orders reached both venues via the single gateway.
     assert set(system.gateway.connected_exchanges) == {"exch1", "exch2"}
 
@@ -41,7 +52,7 @@ def test_compliance_view_sees_cross_venue_states(system):
 
 
 def test_risk_gate_variant_blocks_nothing_benign_but_checks_everything():
-    gated = build_multi_venue_system(seed=42, with_risk_gate=True)
+    gated = build_system(**MULTIVENUE, with_risk_gate=True)
     gated.run(60 * MILLISECOND)
     assert gated.risk is not None
     assert gated.risk.stats.checked == gated.gateway.stats.orders_in
@@ -53,7 +64,7 @@ def test_risk_gate_variant_blocks_nothing_benign_but_checks_everything():
 
 
 def test_determinism(system):
-    again = build_multi_venue_system(seed=42)
+    again = build_system(**MULTIVENUE)
     again.run(60 * MILLISECOND)
-    assert again.arbitrage.opportunities == system.arbitrage.opportunities
-    assert again.fills() == system.fills()
+    assert arb(again).opportunities == arb(system).opportunities
+    assert arb(again).stats.fills == arb(system).stats.fills

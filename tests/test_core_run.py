@@ -117,10 +117,15 @@ def test_events_per_sim_sec_is_pure_function_of_counts():
     assert result.events_per_sim_sec == pytest.approx(expected)
 
 
-def test_multivenue_summarizes_without_roundtrips():
-    result = run_spec(small_spec("multivenue", n_symbols=8))
-    assert result.roundtrip is None
-    assert any("round-trip" in note for note in result.notes)
+def test_multivenue_summarizes_both_venues_roundtrips():
+    executed = execute_spec(small_spec("multivenue", n_symbols=8))
+    result = summarize_run(executed)
+    venue_counts = [
+        len(ex.order_entry.roundtrip_samples) for ex in executed.system.exchanges
+    ]
+    assert all(venue_counts)
+    assert result.roundtrip["count"] == sum(venue_counts)
+    assert result.notes == ()
     assert result.events_executed > 0
 
 

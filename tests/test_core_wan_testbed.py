@@ -20,10 +20,12 @@ def system():
 
 
 def test_market_data_crosses_the_metro(system):
-    assert system.normalizer.stats.messages_in > 100
+    (normalizer,) = system.normalizers
+    assert normalizer.stats.messages_in > 100
     assert all(s.stats.updates_in > 100 for s in system.strategies)
     # The microwave leg really lost frames; the fiber leg backstopped.
-    mw_stats = system.microwave.stats_from(system.microwave.end_a)
+    microwave = system.devices["wan.microwave.carteret-mahwah"]
+    mw_stats = microwave.stats_from(microwave.end_a)
     assert mw_stats.packets_lost > 0
 
 
@@ -46,22 +48,17 @@ def test_loss_shows_up_in_the_tail_not_the_median(system):
     """A lost order frame costs a full RTO: visible at p99, invisible at
     the median — the §2 microwave trade in latency-distribution form."""
     stats = system.roundtrip_stats()
-    retransmits = (
-        system.order_channel_firm.stats.retransmits
-        + system.order_channel_exchange.stats.retransmits
-    )
-    assert retransmits > 0
-    assert stats.p99 > stats.median + system.order_channel_firm.rto_ns / 2
+    firm, exchange = system.devices["rel.firm"], system.devices["rel.exch"]
+    assert firm.stats.retransmits + exchange.stats.retransmits > 0
+    assert stats.p99 > stats.median + firm.rto_ns / 2
     assert stats.median < 1.1 * np.min(system.roundtrip_samples())
 
 
 def test_no_orders_lost_despite_wan_loss(system):
     """Reliability end to end: every order the gateway tunneled arrived."""
-    assert (
-        system.order_channel_firm.stats.sent
-        == system.exchange.order_entry.stats.requests
-    )
-    assert system.order_channel_firm.stats.failures == 0
+    firm = system.devices["rel.firm"]
+    assert firm.stats.sent == system.exchange.order_entry.stats.requests
+    assert firm.stats.failures == 0
 
 
 def test_remote_vs_local_latency_gap(system):

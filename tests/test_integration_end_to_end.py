@@ -5,6 +5,7 @@ import pytest
 from repro.core.latency import Category
 from repro.core.designs import Design1LeafSpine, Design3L1S
 from repro.core import build_system
+from repro.net.l1switch import MergeUnit
 from repro.sim.kernel import MILLISECOND
 
 
@@ -70,7 +71,7 @@ class TestDesign3EndToEnd:
         assert (d1 - d3) == pytest.approx(switch_time, rel=0.35)
 
     def test_no_merge_loss_at_moderate_load(self, design3):
-        for merge in design3.merge_units:
+        for merge in design3.of(MergeUnit):
             assert merge.stats.egress_send_failures == 0
 
     def test_identical_seeds_identical_trading(self):
@@ -88,7 +89,8 @@ class TestDesign3EndToEnd:
     def test_multi_normalizer_design3_uses_merges(self):
         system = build_system(design="design3", seed=12, n_normalizers=2)
         system.run(20 * MILLISECOND)
-        assert len(system.merge_units) == len(system.strategies) + 1
+        merges = system.of(MergeUnit)
+        assert len(merges) == len(system.strategies) + 1
         assert len(system.roundtrip_samples()) > 0
-        merged_in = sum(m.stats.packets_in for m in system.merge_units)
+        merged_in = sum(m.stats.packets_in for m in merges)
         assert merged_in > 0

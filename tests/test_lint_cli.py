@@ -83,10 +83,10 @@ def test_unknown_rule_suggests_close_match(capsys):
 def test_list_rules(capsys):
     assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    assert "unit-suffix" in out and "builder-registry" in out
+    assert "unit-suffix" in out and "builder-registry" not in out
     assert "no-alloc-on-hot-path" in out
     assert "unit-mismatch-call" in out and "layering" in out
-    assert len(out.strip().splitlines()) == 21
+    assert len(out.strip().splitlines()) == 20
 
 
 def test_graph_dump(capsys):

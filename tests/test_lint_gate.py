@@ -29,7 +29,6 @@ def test_rule_registry_is_complete():
     rule_ids = {rule.rule_id for rule in all_rules()}
     assert rule_ids == {
         "all-exports-exist",
-        "builder-registry",
         "instrument-name-style",
         "layering",
         "no-alloc-on-hot-path",

@@ -3,15 +3,20 @@
 import numpy as np
 import pytest
 
-from repro.core.ticktotrade import (
-    FPGA_COMPUTE_NS,
-    build_tick_to_trade_system,
-)
+from repro.core import build_system
+from repro.core.ticktotrade import FPGA_COMPUTE_NS, HardwareStrategy
+
+
+def built_and_run():
+    system = build_system(design="ticktotrade", seed=77)
+    system.run(5_000_000)
+    (strategy,) = system.strategies
+    return system.sim, system.exchange, strategy
 
 
 @pytest.fixture(scope="module")
 def system():
-    return build_tick_to_trade_system(seed=77, run_ns=5_000_000)
+    return built_and_run()
 
 
 def test_tick_to_trade_is_hundreds_of_nanoseconds(system):
@@ -43,9 +48,7 @@ def test_software_stack_cannot_reach_this_floor(system):
 
 def test_determinism(system):
     sim, exchange, strategy = system
-    again_sim, again_exchange, again_strategy = build_tick_to_trade_system(
-        seed=77, run_ns=5_000_000
-    )
+    again_sim, again_exchange, again_strategy = built_and_run()
     assert (
         again_exchange.order_entry.roundtrip_samples
         == exchange.order_entry.roundtrip_samples
@@ -54,12 +57,15 @@ def test_determinism(system):
 
 def test_facade_build_is_unrun_then_matches(system):
     """build_system(design="ticktotrade") returns the wired-but-unrun
-    pipeline; driving it reproduces the direct builder bit-for-bit."""
-    from repro.core import build_system
-
+    pipeline — one hardware strategy, and no normalizer, gateway or flow
+    generator (the fabric's bid-walker is the tick source); driving it
+    reproduces the fixture's run bit-for-bit."""
     via_facade = build_system(design="ticktotrade", seed=77)
     assert via_facade.sim.now == 0
     assert via_facade.roundtrip_samples() == []
+    assert [type(s) for s in via_facade.strategies] == [HardwareStrategy]
+    assert via_facade.normalizers == [] and via_facade.flows == []
+    assert via_facade.gateway is None
     via_facade.run(5_000_000)
     _sim, exchange, _strategy = system
     assert via_facade.roundtrip_samples() == list(
