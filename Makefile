@@ -5,8 +5,8 @@ export PYTHONPATH := src
 	trace-smoke scenario-smoke perf-smoke
 
 # The one gate: repro lint --changed + ruff (when installed) + tier-1
-# pytest (which includes the full-tree lint gate) + the structural
-# macro-bench check + the sweep, scenario, trace and perf smokes.
+# pytest (which includes the full-tree lint gate) + the sweep, scenario,
+# trace and perf smokes.
 verify:
 	$(PYTHON) -m repro verify
 
@@ -43,11 +43,12 @@ lint-changed:
 test:
 	$(PYTHON) -m pytest -x -q
 
-# Macro benchmark: whole-testbed events/s, merged into BENCH_perf.json.
+# The repo benchmark: the five BENCHMARK.json workloads, end-to-end and
+# simulated metrics (see perf/README.md; ~95 s).
 bench:
-	$(PYTHON) -m repro bench
+	$(PYTHON) perf/run.py
 
-# The full pytest-benchmark scoreboard (components, macro, E-series).
+# The full pytest-benchmark reproduction scoreboard (the E-series).
 scoreboard:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
 

@@ -74,9 +74,9 @@ def _overflow_experiment() -> dict:
     rng = np.random.default_rng(0)
     for t in np.sort(rng.integers(0, 10 * MILLISECOND, size=n)):
         for group in (hw_group, sw_group):
-            sim.schedule(
-                at=int(t),
-                callback=lambda g=group: l_in.send(
+            sim.schedule_at(
+                int(t),
+                lambda g=group: l_in.send(
                     Packet(src=EndpointAddress("src"), dst=g,
                            wire_bytes=100, payload_bytes=50),
                     src,

@@ -73,7 +73,7 @@ def _run_wan(arbitrate_both_legs: bool):
                     src,
                 )
 
-        sim.schedule(at=i * 50_000, callback=send)
+        sim.schedule_at(i * 50_000, send)
     sim.run_until_idle()
     while arbiter.gap is not None:
         arbiter.declare_loss()

@@ -56,13 +56,11 @@ def _base(seed, legs):
     for group in groups:
         handler.subscribe(group, fabric)
     for i in range(N_MESSAGES):
-        sim.schedule(
-            at=i * 20_000,
-            callback=lambda i=i: publisher.publish("AAPL", [DeleteOrder(0, i + 1)]),
+        sim.schedule_at(
+            i * 20_000, lambda i=i: publisher.publish("AAPL", [DeleteOrder(0, i + 1)])
         )
     spine = fabric._spine_for(groups[0])
-    sim.schedule(at=FAIL_AT_MS * MILLISECOND,
-                 callback=lambda: setattr(spine, "failed", True))
+    sim.schedule_at(FAIL_AT_MS * MILLISECOND, lambda: setattr(spine, "failed", True))
     return sim, fabric, handler, received, spine
 
 
@@ -76,7 +74,7 @@ def scenario_blackhole() -> None:
 
 def scenario_reconvergence() -> None:
     sim, fabric, handler, received, spine = _base(seed=1, legs=1)
-    sim.schedule(at=RECOVER_AT_MS * MILLISECOND, callback=fabric.reinstall_all)
+    sim.schedule_at(RECOVER_AT_MS * MILLISECOND, fabric.reinstall_all)
     sim.run(until=10 * MILLISECOND)
     # Post-reconvergence messages arrive but sit buffered behind the
     # blackout gap; the receiver writes the gap off to move on.

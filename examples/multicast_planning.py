@@ -95,9 +95,9 @@ def overflow_demo() -> None:
     n = 500
     for i in range(n):
         for group in (hw_group, sw_group):
-            sim.schedule(
-                at=i * 8_000,  # 125k frames/s per group
-                callback=lambda g=group: l_in.send(
+            sim.schedule_at(
+                i * 8_000,  # 125k frames/s per group
+                lambda g=group: l_in.send(
                     Packet(src=EndpointAddress("src"), dst=g,
                            wire_bytes=100, payload_bytes=50),
                     src,

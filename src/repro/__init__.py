@@ -28,8 +28,8 @@ Subpackages
 ``repro.timing``     clocks, PTP sync, capture taps, latency accounting
 ``repro.mgmt``       inventory, placement, partition & capacity planning
 ``repro.core``       the three designs, budgets, merge analysis, testbeds
-``repro.telemetry``  opt-in tracing + metrics (per-hop round-trip spans)
-``repro.analysis``   window statistics, tables, experiment records
+``repro.telemetry``  opt-in tracing + metrics, the one latency histogram
+``repro.analysis``   window statistics, tables, run reports, experiment records
 ``repro.lint``       AST static analysis: determinism + unit-safety gates
 """
 

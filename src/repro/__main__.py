@@ -11,10 +11,8 @@ Commands
 ``trace``       run with telemetry and print the per-hop decomposition
 ``report``      one self-contained run report: hops, series, queues, profile
 ``sweep``       multiprocess scenario matrix -> one comparative artifact
-``bench``       macro benchmark: whole-testbed events/s into BENCH_perf.json
-``scoreboard``  run every reproduction bench (the full scoreboard)
 ``lint``        run the repro.lint static-analysis rules over the tree
-``verify``      run all the gates (lint, ruff, pytest, bench, sweep/trace/perf smokes)
+``verify``      run all the gates (lint, ruff, pytest, sweep/scenario/trace/perf smokes)
 
 Every run-shaped command (``run``, ``trace``, ``report``, ``sweep``)
 accepts ``--spec FILE`` — a :class:`~repro.core.config.SystemSpec` JSON
@@ -28,20 +26,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-
-
-class _RetiredOption(argparse.Action):
-    """A retired flag spelling, kept only to fail well: using it exits
-    through the same did-you-mean path as an unknown SystemSpec field
-    (``unknown_field_error``) instead of silently aliasing."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        from repro.core.config import unknown_field_error
-
-        name = (option_string or "").lstrip("-")
-        parser.error(
-            str(unknown_field_error([name], ["spec", "design", "seed"], "option"))
-        )
 
 
 def _spec_from_args(args, **defaults):
@@ -276,8 +260,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     """Chain the gates: repro lint, ruff (if present), tier-1 pytest, the
-    structural macro-bench check (bench runs + BENCH_perf.json shape),
-    the sweep smoke matrix with its workers=1-vs-N determinism check, the
+    sweep smoke matrix with its workers=1-vs-N determinism check, the
     scenario and trace-export smokes, and the benchmark-harness smoke."""
     import os
     import shutil
@@ -300,9 +283,6 @@ def _cmd_verify(args) -> int:
     else:
         print("verify: ruff not installed; skipping the style gate")
     steps.append(("pytest (tier 1)", [sys.executable, "-m", "pytest", "-x", "-q"]))
-    steps.append(
-        ("bench check", [sys.executable, "-m", "repro", "bench", "--check"])
-    )
     steps.append(
         ("sweep smoke", [sys.executable, "-m", "repro", "sweep", "--smoke"])
     )
@@ -362,64 +342,10 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from pathlib import Path
-
-    from repro import bench
-    from repro.sim.kernel import MILLISECOND
-
-    path = Path(args.json).resolve() if args.json else bench.default_bench_path()
-    if args.check:
-        # The verify gate: a short smoke run proves the harness still
-        # drives every design to completion, then the committed numbers
-        # are checked for shape only — no throughput thresholds, because
-        # the numbers vary with hardware and the structure must not.
-        for design in bench.MACRO_DESIGNS:
-            result = bench.run_macro(
-                design, seed=args.seed, run_ns=bench.SMOKE_RUN_NS, repeats=1
-            )
-            print(f"bench --check: {design}: {result.events:,} events ok")
-        problems = bench.check_bench_json(path)
-        for problem in problems:
-            print(f"bench --check: {problem}")
-        if problems:
-            return 1
-        print(f"bench --check: {path} structure ok")
-        return 0
-
-    results = {}
-    for design in bench.MACRO_DESIGNS:
-        result = bench.run_macro(
-            design,
-            seed=args.seed,
-            run_ns=args.ms * MILLISECOND,
-            repeats=args.repeats,
-        )
-        results[design] = result
-        print(
-            f"{design}: {result.events:,} events in "
-            f"{result.wall_ns / MILLISECOND:.1f} ms "
-            f"-> {result.events_per_sec:,.0f} events/s"
-        )
-    bench.update_bench_json(
-        path, {bench.MACRO_SECTION: bench.macro_section(results)}
-    )
-    print(f"wrote {bench.MACRO_SECTION} ({len(results)} designs) to {path}")
-    return 0
-
-
 def _cmd_lint(args) -> int:
     from repro.lint.cli import run as lint_run
 
     return lint_run(args)
-
-
-def _cmd_scoreboard(args) -> int:
-    import subprocess
-
-    return subprocess.call(
-        [sys.executable, "-m", "pytest", "benchmarks/", "--benchmark-only", "-q"]
-    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -451,12 +377,6 @@ def main(argv: list[str] | None = None) -> int:
 
     run = sub.add_parser("run", help="build and run a system from a spec")
     run.add_argument("--spec", help=_SPEC_HELP)
-    run.add_argument(
-        "--config",
-        action=_RetiredOption,
-        nargs="?",
-        help=argparse.SUPPRESS,
-    )
     run.add_argument("--design", default="design1", help=_DESIGN_HELP)
     run.add_argument("--seed", type=int, default=1)
 
@@ -527,26 +447,8 @@ def main(argv: list[str] | None = None) -> int:
 
     add_sweep_arguments(sw)
 
-    bn = sub.add_parser(
-        "bench",
-        help="macro benchmark: whole-testbed events/s -> BENCH_perf.json",
-    )
-    bn.add_argument("--ms", type=int, default=20, help="simulated ms per run")
-    bn.add_argument("--seed", type=int, default=1)
-    bn.add_argument("--repeats", type=int, default=3, help="best-of-N repeats")
-    bn.add_argument(
-        "--json", help="output path (default: BENCH_perf.json at the repo root)"
-    )
-    bn.add_argument(
-        "--check", action="store_true",
-        help="structural gate: smoke-run every design and validate the "
-             "committed file's keys; writes nothing",
-    )
-
-    sub.add_parser("scoreboard", help="run all reproduction benches")
-
     verify = sub.add_parser(
-        "verify", help="run lint + ruff + tier-1 pytest + bench check as one gate"
+        "verify", help="run lint + ruff + tier-1 pytest + the smokes as one gate"
     )
     verify.add_argument(
         "--keep-going", action="store_true",
@@ -571,8 +473,6 @@ def main(argv: list[str] | None = None) -> int:
         "trace": _cmd_trace,
         "report": _cmd_report,
         "sweep": _cmd_sweep,
-        "bench": _cmd_bench,
-        "scoreboard": _cmd_scoreboard,
         "lint": _cmd_lint,
         "verify": _cmd_verify,
     }[args.command]

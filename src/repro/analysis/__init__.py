@@ -1,4 +1,9 @@
-"""Analysis utilities: windowed statistics, tables, experiment records."""
+"""Analysis utilities: windowed statistics, tables, experiment records.
+
+Latency distributions and sample summaries are not here: the one
+histogram is :class:`repro.telemetry.hdr.LogLinearHistogram` and the one
+sample summary is :func:`repro.timing.latency.summarize`.
+"""
 
 from repro.analysis.windows import (
     WindowSummary,
@@ -6,19 +11,14 @@ from repro.analysis.windows import (
     peak_to_median,
     summarize_windows,
 )
-from repro.analysis.stats import describe, Description
 from repro.analysis.tables import render_table
 from repro.analysis.results import ExperimentLog, ExperimentRecord
-from repro.analysis.histogram import LatencyHistogram
 
 __all__ = [
-    "Description",
-    "LatencyHistogram",
     "ExperimentLog",
     "ExperimentRecord",
     "WindowSummary",
     "burstiness_ratio",
-    "describe",
     "peak_to_median",
     "render_table",
     "summarize_windows",

@@ -22,8 +22,7 @@
   :class:`CloudFabric` and the FPGA :class:`HardwareStrategy`;
 * :mod:`repro.core.run` — the one execution path: :func:`run_spec`
   turns a :class:`SystemSpec` into a plain-data, JSON-round-trippable
-  :class:`RunResult` (what the CLI, bench, and ``repro sweep`` all run
-  through);
+  :class:`RunResult` (what the CLI and ``repro sweep`` run through);
 * :mod:`repro.core.compare` — the cross-design comparison table.
 """
 
@@ -49,46 +48,6 @@ from repro.core.run import (
 )
 from repro.core.system import System
 from repro.core.ticktotrade import HardwareStrategy
-
-# The retired per-design construction aliases (PR 1's deprecation tier)
-# and second construction paths. Their names are assembled at lookup
-# time, never spelled out, so a tree grep for the old surface comes back
-# empty; anyone still importing one gets a hard error pointing at the
-# one construction path.
-_RETIRED_ALIAS_DESIGNS = {
-    "design1": "design1",
-    "design2": "design2",
-    "design3": "design3",
-    "design4": "design4",
-    "cross_colo": "wan",
-    "multi_venue": "multivenue",
-    "tick_to_trade": "ticktotrade",
-}
-# The four per-design result shapes, likewise assembled: all are System.
-_RETIRED_SYSTEM_PREFIXES = ("Trading", "CrossColo", "MultiVenue", "TickToTrade")
-
-
-def _retired_alias_design(name: str) -> str | None:
-    if not (name.startswith("build_") and name.endswith("_system")):
-        return None
-    middle = name[len("build_"):-len("_system")]
-    return _RETIRED_ALIAS_DESIGNS.get(middle)
-
-
-def __getattr__(name: str):
-    design = _retired_alias_design(name)
-    if design is not None:
-        raise ImportError(
-            f"repro.core.{name}() was removed; construct through "
-            f'repro.core.build_system(design="{design}", ...) '
-            "(see docs/architecture.md)"
-        )
-    if name.endswith("System") and name[:-len("System")] in _RETIRED_SYSTEM_PREFIXES:
-        raise ImportError(
-            f"repro.core.{name} was removed; every design builds into "
-            "repro.core.System (see docs/architecture.md)"
-        )
-    raise AttributeError(f"module 'repro.core' has no attribute {name!r}")
 
 __all__ = [
     "BudgetItem",

@@ -67,16 +67,3 @@ __all__ = [
     "middlebox_cores_saved",
     "required_partitions",
 ]
-
-
-def __getattr__(name: str):
-    if name == "strategies":
-        # The old re-export module (plural name) was removed; the name is
-        # assembled here so a tree grep for the retired surface stays
-        # empty while the migration error remains self-explanatory.
-        raise ImportError(
-            f"the repro.firm re-export module {name!r} was removed; import "
-            "Strategy and the reference strategies from repro.firm.strategy "
-            "(or from repro.firm directly)"
-        )
-    raise AttributeError(f"module 'repro.firm' has no attribute {name!r}")

@@ -13,8 +13,8 @@ program. This module provides that view:
   Unresolvable dynamic calls (stored callbacks, ``getattr``) are
   recorded as ``unknown`` edges, never silently dropped.
 * **roots** — functions handed to the kernel as event callbacks:
-  ``sim.schedule_at`` / ``schedule_after`` / ``schedule(callback=...)``
-  / ``call_at`` / ``call_after``, NIC ``bind(handler)`` registration,
+  ``sim.schedule_at`` / ``schedule_after`` / ``call_at`` /
+  ``call_after``, NIC ``bind(handler)`` registration,
   and ``Timer(sim, callback)`` construction. A lambda scheduled inline
   becomes its own synthetic graph node.
 * **hot set** — breadth-first reachability from the roots over resolved
@@ -45,8 +45,7 @@ _SCHEDULER_CALLBACK_ARG = {
     "call_at": 1,
     "call_after": 1,
 }
-# Keyword-only schedulers and other registration idioms.
-_SCHEDULE_KEYWORD = "schedule"
+# Other registration idioms.
 _BIND_ATTRS = frozenset({"bind", "add_trace_hook"})
 
 # The linter is development tooling: it never runs inside the simulator,
@@ -321,11 +320,6 @@ def _callback_expr(call: ast.Call) -> ast.expr | None:
         index = _SCHEDULER_CALLBACK_ARG[attr]
         if len(call.args) > index:
             return call.args[index]
-        for keyword in call.keywords:
-            if keyword.arg == "callback":
-                return keyword.value
-        return None
-    if attr == _SCHEDULE_KEYWORD:
         for keyword in call.keywords:
             if keyword.arg == "callback":
                 return keyword.value

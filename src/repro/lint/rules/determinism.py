@@ -224,7 +224,7 @@ class NoGlobalRandom(Rule):
 # scheduling, telemetry recording, artifact/stream writes.
 _ORDER_SINK_ATTRS = frozenset(
     {
-        "schedule", "schedule_at", "schedule_after", "call_at", "call_after",
+        "schedule_at", "schedule_after", "call_at", "call_after",
         "count", "gauge_set", "gauge_add", "record_count", "record_sample",
         "stamp", "record", "write", "writerow", "writelines", "append",
     }

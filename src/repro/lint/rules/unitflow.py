@@ -19,7 +19,6 @@ from repro.lint.unitflow import (
     CONCRETE_UNITS,
     CONVERSION_PARAM_UNITS,
     NS,
-    SCHEDULE_TIME_KEYWORDS,
     SCHEDULER_TIME_ATTRS,
     Scope,
     UnitFlow,
@@ -208,16 +207,6 @@ class UnitMismatchCall(UnitFlowRule):
                     f"{func.attr}() takes integer nanoseconds but the "
                     f"time argument is {unit}; convert it first"
                 )
-        elif isinstance(func, ast.Attribute) and func.attr == "schedule":
-            for keyword in node.keywords:
-                if keyword.arg in SCHEDULE_TIME_KEYWORDS:
-                    unit = flow.unit_of(keyword.value, scope)
-                    if unit in CONCRETE_UNITS and unit != NS:
-                        yield node, (
-                            f"schedule({keyword.arg}=...) takes integer "
-                            f"nanoseconds but the value is {unit}; "
-                            f"convert it first"
-                        )
 
     def _keyword_args(self, flow, scope, node):
         for keyword in node.keywords:
@@ -304,12 +293,6 @@ class RawDurationLiteral(UnitFlowRule):
                 if node.args:
                     seen.add(id(node.args[0]))
                     yield from self._check(node.args[0], func.attr)
-            elif isinstance(func, ast.Attribute) and func.attr == "schedule":
-                for keyword in node.keywords:
-                    if keyword.arg in SCHEDULE_TIME_KEYWORDS:
-                        yield from self._check(
-                            keyword.value, f"schedule({keyword.arg}=...)"
-                        )
             for keyword in node.keywords:
                 if keyword.arg is not None and keyword.arg.endswith("_ns"):
                     yield from self._check(keyword.value, keyword.arg)

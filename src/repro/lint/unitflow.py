@@ -115,7 +115,6 @@ _UNIT_JOINING_BUILTINS = frozenset({"min", "max"})
 SCHEDULER_TIME_ATTRS = frozenset(
     {"schedule_at", "schedule_after", "call_at", "call_after"}
 )
-SCHEDULE_TIME_KEYWORDS = frozenset({"at", "after"})
 
 
 def join(a: str, b: str) -> str:

@@ -98,13 +98,3 @@ __all__ = [
     "UDP_STACK_OVERHEAD_BYTES",
     "TCP_STACK_OVERHEAD_BYTES",
 ]
-
-
-def __getattr__(name: str):
-    if name == "headers":
-        raise ImportError(
-            "repro.protocols.headers was removed; the header arithmetic "
-            "lives in repro.net.headers (frame overhead is a property of "
-            "the wire, not of any protocol)"
-        )
-    raise AttributeError(f"module 'repro.protocols' has no attribute {name!r}")

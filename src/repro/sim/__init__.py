@@ -9,7 +9,6 @@ would be visible.
 """
 
 from repro.sim.kernel import (
-    EventHandle,
     SimulationError,
     Simulator,
     MICROSECOND,
@@ -25,7 +24,6 @@ from repro.sim.rng import RngStreams
 
 __all__ = [
     "Component",
-    "EventHandle",
     "RngStreams",
     "SimulationError",
     "Simulator",

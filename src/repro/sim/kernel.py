@@ -5,23 +5,12 @@ The event queue is a binary heap keyed on ``(time, priority, sequence)``;
 the sequence number makes same-instant, same-priority events fire in the
 order they were scheduled, which keeps runs reproducible.
 
-Scheduling is a two-tier API:
-
-* :meth:`Simulator.schedule_at` / :meth:`Simulator.schedule_after` — the
-  positional fast path. Each call allocates exactly one heap entry (a
-  plain list, compared element-wise in C) and returns it as an opaque
-  event token. This is what every hot caller in the tree uses: the
-  per-event budget of the busiest 100 µs window (~100 ns/event in the
-  paper's Fig. 2c) leaves no room for keyword parsing or wrapper
-  objects on the dispatch path.
-* :meth:`Simulator.schedule` — the validated keyword wrapper. It checks
-  that exactly one of ``at=``/``after=`` is given, coerces values, and
-  wraps the heap entry in an :class:`EventHandle`. Use it anywhere that
-  is not dispatch-rate critical.
-
-Both tiers share one queue and one sequence counter, so a run built from
-fast-path calls is bit-identical to the same run built from
-``schedule()`` calls.
+Scheduling is one positional API: :meth:`Simulator.schedule_at` /
+:meth:`Simulator.schedule_after` each allocate exactly one heap entry (a
+plain list, compared element-wise in C) and return it as an opaque event
+token that :meth:`Simulator.cancel` accepts. The per-event budget of the
+busiest 100 µs window (~100 ns/event in the paper's Fig. 2c) leaves no
+room for keyword parsing or wrapper objects on the dispatch path.
 """
 
 from __future__ import annotations
@@ -79,33 +68,6 @@ _FIRED = 2
 _COMPACT_MIN_QUEUE = 64
 
 _UNBOUNDED = float("inf")
-
-
-class EventHandle:
-    """Handle returned by :meth:`Simulator.schedule`; allows cancellation.
-
-    The fast-path methods return the raw heap entry instead; wrap one in
-    an ``EventHandle(sim, entry)`` only if you need this interface.
-    """
-
-    __slots__ = ("_sim", "_event")
-
-    def __init__(self, sim: "Simulator", event: list):
-        self._sim = sim
-        self._event = event
-
-    @property
-    def time(self) -> int:
-        """Scheduled firing time in nanoseconds."""
-        return self._event[EV_TIME]
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event[EV_CANCELLED] is True
-
-    def cancel(self) -> None:
-        """Prevent the event from firing. Safe to call more than once."""
-        self._sim.cancel(self._event)
 
 
 class Simulator:
@@ -173,7 +135,7 @@ class Simulator:
         """
         return len(self._queue)
 
-    # -- scheduling: the positional fast path --------------------------------
+    # -- scheduling ----------------------------------------------------------
 
     def schedule_at(
         self,
@@ -182,12 +144,13 @@ class Simulator:
         args: tuple = (),
         priority: int = 0,
     ) -> list:
-        """Schedule ``callback(*args)`` at absolute ``time``; fast path.
+        """Schedule ``callback(*args)`` at absolute ``time``.
 
         Returns the raw heap entry — an opaque token accepted by
         :meth:`cancel` (index it with ``EV_CANCELLED`` to test state).
         ``time`` must be an integer ≥ :attr:`now`; ``args`` must already
-        be a tuple. No keyword parsing, no coercion, no wrapper object.
+        be a tuple. Lower ``priority`` values fire earlier among same-time
+        events; the default 0 is right for nearly everything.
         """
         if time < self._now:
             raise SimulationError(
@@ -206,7 +169,7 @@ class Simulator:
         args: tuple = (),
         priority: int = 0,
     ) -> list:
-        """Schedule ``callback(*args)`` after ``delay_ns`` ns; fast path.
+        """Schedule ``callback(*args)`` after ``delay_ns`` ns.
 
         The relative-time twin of :meth:`schedule_at`; same contract,
         same raw-entry return.
@@ -220,32 +183,6 @@ class Simulator:
         self._seq += 1
         heapq.heappush(self._queue, event)
         return event
-
-    # -- scheduling: the validated keyword wrapper ---------------------------
-
-    def schedule(
-        self,
-        *,
-        at: int | None = None,
-        after: int | None = None,
-        callback: Callable[..., None],
-        args: tuple = (),
-        priority: int = 0,
-    ) -> EventHandle:
-        """Schedule ``callback(*args)`` at absolute time ``at`` or delay ``after``.
-
-        Exactly one of ``at`` / ``after`` must be given. Lower ``priority``
-        values fire earlier among same-time events; the default 0 is right
-        for nearly everything. This is the validated wrapper over
-        :meth:`schedule_at` / :meth:`schedule_after`; both tiers produce
-        identical queue states for identical times.
-        """
-        if (at is None) == (after is None):
-            raise SimulationError("specify exactly one of at= or after=")
-        when = int(at) if at is not None else self._now + int(after)  # type: ignore[arg-type]
-        return EventHandle(
-            self, self.schedule_at(when, callback, tuple(args), priority)
-        )
 
     # -- cancellation --------------------------------------------------------
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.sim.kernel import EventHandle, SimulationError, Simulator
+from repro.sim.kernel import SimulationError, Simulator
 
 
 class Component:
@@ -52,18 +52,17 @@ class Component:
     def now(self) -> int:
         return self.sim.now
 
-    # lint: hot-ok(no-alloc-on-hot-path) — pooling is a ROADMAP item
-    def call_after(
-        self, delay_ns: int, callback: Callable[..., None], *args
-    ) -> EventHandle:
-        """Schedule ``callback(*args)`` after ``delay_ns`` nanoseconds."""
-        sim = self.sim
-        return EventHandle(sim, sim.schedule_after(delay_ns, callback, args))
+    def call_after(self, delay_ns: int, callback: Callable[..., None], *args) -> list:
+        """Schedule ``callback(*args)`` after ``delay_ns`` nanoseconds.
 
-    def call_at(self, when: int, callback: Callable[..., None], *args) -> EventHandle:
-        """Schedule ``callback(*args)`` at absolute time ``when``."""
-        sim = self.sim
-        return EventHandle(sim, sim.schedule_at(when, callback, args))
+        Returns the event token; ``self.sim.cancel(token)`` cancels it.
+        """
+        return self.sim.schedule_after(delay_ns, callback, args)
+
+    def call_at(self, when: int, callback: Callable[..., None], *args) -> list:
+        """Schedule ``callback(*args)`` at absolute time ``when``; same
+        token return as :meth:`call_after`."""
+        return self.sim.schedule_at(when, callback, args)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"
@@ -81,9 +80,8 @@ class Timer:
     def __init__(self, sim: Simulator, callback: Callable[[], None]):
         self.sim = sim
         self.callback = callback
-        # Raw fast-path event token; restart/cancel churn is the hot
-        # pattern (one arm + one cancel per protected message), so the
-        # timer skips the EventHandle wrapper entirely.
+        # The pending expiry's event token; restart/cancel churn is the
+        # hot pattern (one arm + one cancel per protected message).
         self._event: list | None = None
 
     @property

@@ -4,7 +4,7 @@
 def schedule(sim, timeout_us: int, poll_ms: int = 5):  # lint: _us, _ms params
     delay = timeout_us * 1_000  # lint: bare 'delay'
     latency = poll_ms * 1_000_000  # lint: bare 'latency'
-    sim.schedule(after=delay + latency, callback=None)
+    sim.schedule_after(delay + latency, None)
 
 
 class Window:

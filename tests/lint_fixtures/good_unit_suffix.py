@@ -11,7 +11,7 @@ def us_to_ns(us: float) -> int:  # allowlisted conversion helper
 def schedule(sim, timeout_ns: int, poll_interval_ns: int = 5 * MILLISECOND):
     delay_ns = timeout_ns
     latency_ns = poll_interval_ns
-    sim.schedule(after=delay_ns + latency_ns, callback=None)
+    sim.schedule_after(delay_ns + latency_ns, None)
 
 
 class Window:

@@ -1,10 +1,9 @@
-"""Tests for the analysis utilities: windows, stats, tables, records."""
+"""Tests for the analysis utilities: windows, tables, records."""
 
 import numpy as np
 import pytest
 
 from repro.analysis.results import ExperimentLog, ExperimentRecord
-from repro.analysis.stats import describe
 from repro.analysis.tables import render_table
 from repro.analysis.windows import (
     burstiness_ratio,
@@ -45,24 +44,6 @@ class TestWindows:
         assert burstiness_ratio(np.zeros(10)) == 0.0
         clumped = np.concatenate([np.zeros(9_000), np.full(1_000, 1_000)])
         assert burstiness_ratio(clumped) > 100
-
-
-class TestDescribe:
-    def test_quartiles(self):
-        d = describe(range(1, 101))
-        assert d.count == 100
-        assert d.median == pytest.approx(50.5)
-        assert d.p25 == pytest.approx(25.75)
-        assert d.minimum == 1 and d.maximum == 100
-
-    def test_within_band_helper(self):
-        d = describe([100.0] * 10)
-        assert d.within(105, rel_tol=0.10, metric="mean")
-        assert not d.within(150, rel_tol=0.10, metric="mean")
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            describe([])
 
 
 class TestTables:

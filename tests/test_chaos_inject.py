@@ -81,8 +81,8 @@ def test_link_down_window_drops_then_restores():
                  "at_ns": 1_000, "duration_ns": 10_000}),
     )
     # One frame inside the window, one after it closes.
-    sim.schedule(at=2_000, callback=lambda: link.send(_packet(), a))
-    sim.schedule(at=20_000, callback=lambda: link.send(_packet(), a))
+    sim.schedule_at(2_000, lambda: link.send(_packet(), a))
+    sim.schedule_at(20_000, lambda: link.send(_packet(), a))
     sim.run_until_idle()
     assert len(b.received) == 1
     assert link.loss_prob == 0.0  # restored
@@ -97,7 +97,7 @@ def test_link_rate_window_scales_and_restores_bandwidth():
                  "at_ns": 1_000, "duration_ns": 1_000}),
     )
     observed = []
-    sim.schedule(at=1_500, callback=lambda: observed.append(link.bandwidth_bps))
+    sim.schedule_at(1_500, lambda: observed.append(link.bandwidth_bps))
     sim.run_until_idle()
     assert observed == [pytest.approx(1e9)]
     assert link.bandwidth_bps == pytest.approx(10e9)
@@ -115,7 +115,7 @@ def test_switch_fail_window_blackholes_then_restores():
     )
     states = []
     for t in (400, 600, 2_000):
-        sim.schedule(at=t, callback=lambda: states.append(switch.failed))
+        sim.schedule_at(t, lambda: states.append(switch.failed))
     sim.run_until_idle()
     assert states == [False, True, False]
 
@@ -135,10 +135,7 @@ def test_nic_drop_draws_from_its_own_stream_and_restores():
                  "at_ns": 0, "duration_ns": 10_000_000}),
     )
     for i in range(200):
-        sim.schedule(
-            at=1_000 + i * 10_000,
-            callback=lambda: nic_a.send(_packet(dst="b")),
-        )
+        sim.schedule_at(1_000 + i * 10_000, lambda: nic_a.send(_packet(dst="b")))
     sim.run_until_idle()
     dropped = nic_b.stats.packets_chaos_dropped
     assert dropped > 0
@@ -162,10 +159,7 @@ def test_same_seed_same_chaos_drops():
                      "duration_ns": 10_000_000}),
         )
         for i in range(100):
-            sim.schedule(
-                at=1_000 + i * 10_000,
-                callback=lambda: nic_a.send(_packet(dst="b")),
-            )
+            sim.schedule_at(1_000 + i * 10_000, lambda: nic_a.send(_packet(dst="b")))
         sim.run_until_idle()
         return nic_b.stats.packets_chaos_dropped
 

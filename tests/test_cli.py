@@ -46,19 +46,6 @@ def test_command_is_required():
         main([])
 
 
-def test_run_command_retired_config_flag_is_a_hard_error(tmp_path, capsys):
-    """The old ``--config`` spelling no longer aliases ``--spec``: it
-    exits through the shared unknown-field path, naming the valid flags."""
-    path = tmp_path / "spec.json"
-    path.write_text("{}")
-    with pytest.raises(SystemExit) as excinfo:
-        main(["run", "--config", str(path)])
-    assert excinfo.value.code == 2
-    err = capsys.readouterr().err
-    assert "'config'" in err
-    assert "'spec'" in err
-
-
 def test_run_command_without_spec_file(capsys):
     assert main(["run", "--design", "design1", "--seed", "2"]) == 0
     out = capsys.readouterr().out

@@ -86,46 +86,6 @@ def test_unknown_design_rejected():
         build_system(design="design9")
 
 
-@pytest.mark.parametrize(
-    "design",
-    ["design1", "design2", "design3", "design4", "cross_colo",
-     "multi_venue", "tick_to_trade"],
-)
-def test_retired_builder_aliases_raise_with_migration_message(design):
-    """The PR-1 compatibility shims are gone: importing one must fail
-    loudly, pointing at build_system(). The alias names are assembled at
-    runtime so the tree-wide grep for the retired surface stays empty."""
-    import repro.core as core
-
-    legacy = "build_" + design + "_system"
-    with pytest.raises(ImportError, match="build_system"):
-        getattr(core, legacy)
-
-
-@pytest.mark.parametrize(
-    "prefix", ["Trading", "CrossColo", "MultiVenue", "TickToTrade"]
-)
-def test_retired_system_types_raise_pointing_at_the_one_system(prefix):
-    import repro.core as core
-
-    with pytest.raises(ImportError, match="repro.core.System"):
-        getattr(core, prefix + "System")
-
-
-def test_retired_strategies_module_raises_with_migration_message():
-    import repro.firm as firm
-
-    with pytest.raises(ImportError, match="strategy"):
-        getattr(firm, "strategies")
-
-
-def test_retired_headers_module_raises_with_migration_message():
-    import repro.protocols as protocols
-
-    with pytest.raises(ImportError, match="net.headers"):
-        getattr(protocols, "headers")
-
-
 def test_unknown_core_attribute_is_plain_attribute_error():
     import repro.core as core
 

@@ -2,13 +2,48 @@
 
 Documentation rot is a release-killer; these checks pin the load-bearing
 references (bench targets in DESIGN.md, example scripts in README.md,
-layout listing) to the actual tree.
+layout listing, every spelled CLI subcommand and make target) to the
+actual tree.
 """
 
 import re
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parent.parent
+PROSE = [REPO / "README.md", REPO / "DESIGN.md", *sorted((REPO / "docs").glob("*.md"))]
+
+
+def _cli_subcommands(capsys) -> set[str]:
+    """The parser's subcommands, read off ``--help``'s ``{a,b,...}``."""
+    import repro.__main__ as cli
+
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    return set(re.search(r"\{([\w,]+)\}", capsys.readouterr().out).group(1).split(","))
+
+
+def test_every_spelled_cli_command_and_make_target_exists(capsys):
+    commands = _cli_subcommands(capsys)
+    makefile = (REPO / "Makefile").read_text(encoding="utf-8")
+    targets = set(re.findall(r"^([a-z][\w-]*):", makefile, re.M))
+    assert commands and targets
+    for path in PROSE:
+        text = path.read_text(encoding="utf-8")
+        # `python -m repro a|b|c` and `repro sweep` spellings alike.
+        for spelled in re.findall(r"(?:python -m |`)repro ([a-z0-9|]+)", text):
+            for command in spelled.split("|"):
+                assert command in commands, f"{path.name}: no `repro {command}`"
+        for target in re.findall(r"(?:`|^)make ([a-z][\w-]*)", text, re.M):
+            assert target in targets, f"{path.name}: no `make {target}`"
+
+
+def test_cli_docstring_command_table_matches_parser(capsys):
+    import repro.__main__ as cli
+
+    table = set(re.findall(r"^``(\w+)``  ", cli.__doc__, re.M))
+    assert table == _cli_subcommands(capsys)
 
 
 def test_design_md_bench_targets_exist():

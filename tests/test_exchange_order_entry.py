@@ -155,9 +155,8 @@ def test_cancel_fill_race_end_to_end():
     # the buy wins the race to the matching engine.
     _send(sim, nic1, exch_nic.address,
           s1.encode_new_order(NewOrderRequest(1, "B", 100, "AAPL", 10_000)))
-    sim.schedule(
-        after=1_000,
-        callback=lambda: _send(sim, nic0, exch_nic.address, s0.encode_cancel(1)),
+    sim.schedule_after(
+        1_000, lambda: _send(sim, nic0, exch_nic.address, s0.encode_cancel(1))
     )
     sim.run()
     assert s0.orders[1].state is OrderState.FILLED

@@ -126,14 +126,13 @@ class TestHitlessAbFeeds:
 
         # Publish, then kill the A-leg's spine mid-stream, keep publishing.
         for i in range(100):
-            sim.schedule(
-                at=i * 20_000,
-                callback=lambda i=i: publisher.publish(
+            sim.schedule_at(
+                i * 20_000,
+                lambda i=i: publisher.publish(
                     "AAPL", [DeleteOrder(0, i + 1)]
                 ),
             )
-        sim.schedule(at=1 * MILLISECOND, callback=lambda: setattr(
-            spine_a, "failed", True))
+        sim.schedule_at(1 * MILLISECOND, lambda: setattr(spine_a, "failed", True))
         sim.run(until=10 * MILLISECOND)
 
         # Zero loss, zero gaps, no reconvergence needed: the B leg carried

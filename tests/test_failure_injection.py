@@ -77,7 +77,7 @@ class TestWanAbFeeds:
                         src,
                     )
 
-            sim.schedule(at=i * interval, callback=send)
+            sim.schedule_at(i * interval, send)
         sim.run_until_idle()
         return metro, arbiter, delivered, latencies, mw, fiber
 
@@ -119,11 +119,9 @@ class TestGapTimeout:
             elif arbiter.gap is None:
                 timer.cancel()
 
-        sim.schedule(at=0, callback=lambda: on_frames(1, [DeleteOrder(0, 1)]))
+        sim.schedule_at(0, lambda: on_frames(1, [DeleteOrder(0, 1)]))
         # Frames 2-3 never arrive; frame 4 opens a gap at t=1ms.
-        sim.schedule(
-            at=1 * MILLISECOND, callback=lambda: on_frames(4, [DeleteOrder(0, 4)])
-        )
+        sim.schedule_at(1 * MILLISECOND, lambda: on_frames(4, [DeleteOrder(0, 4)]))
         sim.run()
         assert [m.order_id for m in delivered] == [1, 4]
         assert arbiter.stats.messages_skipped == 2
@@ -135,7 +133,7 @@ class TestGapTimeout:
         arbiter = FeedArbiter(unit=1, sink=delivered.append)
         timer = Timer(sim, arbiter.declare_loss)
 
-        sim.schedule(at=0, callback=lambda: arbiter.on_messages(1, [DeleteOrder(0, 1)]))
+        sim.schedule_at(0, lambda: arbiter.on_messages(1, [DeleteOrder(0, 1)]))
 
         def open_gap():
             arbiter.on_messages(3, [DeleteOrder(0, 3)])
@@ -146,8 +144,8 @@ class TestGapTimeout:
             if arbiter.gap is None:
                 timer.cancel()
 
-        sim.schedule(at=1 * MILLISECOND, callback=open_gap)
-        sim.schedule(at=2 * MILLISECOND, callback=fill_gap)
+        sim.schedule_at(1 * MILLISECOND, open_gap)
+        sim.schedule_at(2 * MILLISECOND, fill_gap)
         sim.run()
         assert [m.order_id for m in delivered] == [1, 2, 3]
         assert arbiter.stats.messages_skipped == 0
@@ -178,17 +176,11 @@ class TestMembershipChurn:
 
         n = 200
         for i in range(n):
-            sim.schedule(at=i * 100_000, callback=blast)
+            sim.schedule_at(i * 100_000, blast)
             if i % 20 == 0:
-                sim.schedule(
-                    at=i * 100_000 + 1,
-                    callback=lambda: fabric.join(group, flapper),
-                )
+                sim.schedule_at(i * 100_000 + 1, lambda: fabric.join(group, flapper))
             if i % 20 == 10:
-                sim.schedule(
-                    at=i * 100_000 + 1,
-                    callback=lambda: fabric.leave(group, flapper),
-                )
+                sim.schedule_at(i * 100_000 + 1, lambda: fabric.leave(group, flapper))
         sim.run_until_idle()
         assert len(stable_count) == n  # the stable receiver never lost one
         assert 0 < len(flapper_count) < n  # the flapper got a subset

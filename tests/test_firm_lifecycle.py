@@ -81,7 +81,7 @@ def test_watchdog_declares_loss_after_grace():
     def open_gap():
         machine.on_feed(sim.now, gap_open=True)
 
-    sim.schedule(at=100, callback=open_gap)
+    sim.schedule_at(100, open_gap)
     sim.run_until_idle()
     assert handler.declared == ["stuck"]
     assert machine.state == RECOVERED
@@ -93,13 +93,13 @@ def test_watchdog_stands_down_when_the_gap_already_filled():
     machine, handler, _ = _machine(sim)
     machine.on_feed(0, gap_open=False)
     handler.open_gaps = {"g"}
-    sim.schedule(at=100, callback=lambda: machine.on_feed(100, gap_open=True))
+    sim.schedule_at(100, lambda: machine.on_feed(100, gap_open=True))
 
     def fill():
         handler.open_gaps = set()
         machine.on_feed(sim.now, gap_open=False)
 
-    sim.schedule(at=500, callback=fill)
+    sim.schedule_at(500, fill)
     sim.run_until_idle()
     assert handler.declared == []  # the watchdog found nothing to declare
     assert machine.state == RECOVERED
@@ -112,10 +112,7 @@ def test_observed_transitions_stay_inside_the_legal_relation():
     machine.on_feed(0, gap_open=False)
     for start in (100, 3_000_000):
         handler.open_gaps = {"g"}
-        sim.schedule(
-            at=start,
-            callback=lambda: machine.on_feed(sim.now, gap_open=True),
-        )
+        sim.schedule_at(start, lambda: machine.on_feed(sim.now, gap_open=True))
     sim.run_until_idle()
     states = [state for state, _ in machine.transitions]
     times = [t for _, t in machine.transitions]

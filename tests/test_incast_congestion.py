@@ -69,7 +69,7 @@ def test_staggered_orders_see_no_queueing():
     per_frame = access.serialization_ns(ORDER_WIRE_BYTES)
     gap = 5 * per_frame
     for i, nic in enumerate(strategies):
-        sim.schedule(at=i * gap, callback=lambda n=nic: n.send(_order(n, gateway)))
+        sim.schedule_at(i * gap, lambda n=nic: n.send(_order(n, gateway)))
     sim.run_until_idle()
     assert len(arrivals) == N_STRATEGIES
     gw_leaf = topo.leaf_of(gateway.address)

@@ -90,17 +90,17 @@ def test_type_checking_imports_are_skipped(tmp_path):
 
 def test_lower_layer_may_not_import_the_application_layer(tmp_path):
     _tree(tmp_path, {
-        "repro/sim/kernel.py": "from repro.bench import f\n",
-        "repro/bench.py": "def f():\n    return 0\n",
+        "repro/sim/kernel.py": "from repro.__main__ import f\n",
+        "repro/__main__.py": "def f():\n    return 0\n",
     })
     findings = _lint(tmp_path)
     assert len(findings) == 1
-    assert "application module repro.bench" in findings[0].message
+    assert "application module repro.__main__" in findings[0].message
 
 
 def test_application_layer_imports_anything(tmp_path):
     _tree(tmp_path, {
-        "repro/bench.py": (
+        "repro/__main__.py": (
             "from repro.core.latency import f\n"
             "from repro.sim.kernel import g\n"
         ),

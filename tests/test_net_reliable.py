@@ -48,7 +48,7 @@ def test_bidirectional_with_piggybacked_acks():
     sim = Simulator(seed=1)
     a, b, got_a, got_b = _wire(sim)
     a.send("ping")
-    sim.schedule(after=50_000, callback=lambda: b.send("pong"))
+    sim.schedule_after(50_000, lambda: b.send("pong"))
     sim.run_until_idle()
     assert got_b == ["ping"]
     assert got_a == ["pong"]
@@ -59,7 +59,7 @@ def test_loss_triggers_retransmission_and_full_delivery():
     a, b, got_a, got_b = _wire(sim, loss_prob=0.25)
     n = 200
     for i in range(n):
-        sim.schedule(at=i * 20_000, callback=lambda i=i: a.send(("m", i)))
+        sim.schedule_at(i * 20_000, lambda i=i: a.send(("m", i)))
     sim.run_until_idle()
     assert got_b == [("m", i) for i in range(n)]  # exactly once, in order
     assert a.stats.retransmits > 10  # the loss was real
@@ -71,7 +71,7 @@ def test_heavy_loss_still_converges():
     sim = Simulator(seed=3)
     a, b, got_a, got_b = _wire(sim, loss_prob=0.5)
     for i in range(50):
-        sim.schedule(at=i * 100_000, callback=lambda i=i: a.send(i))
+        sim.schedule_at(i * 100_000, lambda i=i: a.send(i))
     sim.run_until_idle()
     assert got_b == list(range(50))
 
@@ -139,7 +139,7 @@ def test_order_entry_over_lossy_metro_wan():
     a, b = connect(sim, nic_a, nic_b, on_message_b=got.append,
                    rto_ns=600 * MICROSECOND)
     for i in range(100):
-        sim.schedule(at=i * 500_000, callback=lambda i=i: a.send(("order", i)))
+        sim.schedule_at(i * 500_000, lambda i=i: a.send(("order", i)))
     sim.run_until_idle()
     assert got == [("order", i) for i in range(100)]
     assert a.stats.retransmits > 0

@@ -16,7 +16,7 @@ def test_events_always_fire_in_time_order(delays):
     sim = Simulator()
     fired = []
     for index, delay in enumerate(delays):
-        sim.schedule(after=delay, callback=fired.append, args=((delay, index),))
+        sim.schedule_after(delay, fired.append, ((delay, index),))
     sim.run()
     assert len(fired) == len(delays)
     assert fired == sorted(fired)  # (time, insertion index) lexicographic
@@ -32,14 +32,14 @@ def test_cancellation_is_exact(delays, cancel_mask):
     """Exactly the non-cancelled events fire — no more, no fewer."""
     sim = Simulator()
     fired = []
-    handles = [
-        sim.schedule(after=delay, callback=fired.append, args=(i,))
+    tokens = [
+        sim.schedule_after(delay, fired.append, (i,))
         for i, delay in enumerate(delays)
     ]
     cancelled = set()
-    for i, (handle, cancel) in enumerate(zip(handles, cancel_mask)):
+    for i, (token, cancel) in enumerate(zip(tokens, cancel_mask)):
         if cancel:
-            handle.cancel()
+            sim.cancel(token)
             cancelled.add(i)
     sim.run()
     assert set(fired) == set(range(len(delays))) - cancelled
@@ -60,7 +60,7 @@ def test_run_until_tiles_the_timeline(stops):
         sim = Simulator()
         fired = []
         for delay in delays:
-            sim.schedule(after=delay, callback=fired.append, args=(delay,))
+            sim.schedule_after(delay, fired.append, (delay,))
         last = 0
         for boundary in boundaries:
             sim.run(until=boundary)
@@ -73,7 +73,7 @@ def test_run_until_tiles_the_timeline(stops):
         sim = Simulator()
         fired = []
         for delay in delays:
-            sim.schedule(after=delay, callback=fired.append, args=(delay,))
+            sim.schedule_after(delay, fired.append, (delay,))
         sim.run()
         return fired
 

@@ -37,9 +37,7 @@ def test_in_order_exactly_once_under_any_loss(
         sim, nic_a, nic_b, on_message_b=got.append, rto_ns=100 * MICROSECOND
     )
     for i in range(n_messages):
-        sim.schedule(
-            at=i * spacing_us * 1_000, callback=lambda i=i: a.send(i)
-        )
+        sim.schedule_at(i * spacing_us * 1_000, lambda i=i: a.send(i))
     sim.run_until_idle(max_events=5_000_000)
     # In-order, exactly-once prefix — always.
     assert got == list(range(len(got)))

@@ -118,18 +118,17 @@ class TestEndToEndRecovery:
         n = 400
         for i in range(n):
             # Publish on a spaced schedule so gaps open between frames.
-            sim.schedule(
-                at=i * 20_000,
-                callback=lambda i=i: self._publish_one(publisher, proxy, i + 1),
+            sim.schedule_at(
+                i * 20_000, lambda i=i: self._publish_one(publisher, proxy, i + 1)
             )
         # A trailing loss is invisible until a later message arrives (no
         # gap opens past the stream's end); real feeds close the day with
         # heartbeats. Publish several sentinels so at least one survives
         # the lossy leg and flushes any trailing gap.
         for k in range(5):
-            sim.schedule(
-                at=n * 20_000 + (k + 1) * MILLISECOND,
-                callback=lambda k=k: self._publish_one(publisher, proxy, n + 1 + k),
+            sim.schedule_at(
+                n * 20_000 + (k + 1) * MILLISECOND,
+                lambda k=k: self._publish_one(publisher, proxy, n + 1 + k),
             )
         sim.run(until=80 * MILLISECOND)
         assert received[:n] == list(range(1, n + 1))
@@ -143,9 +142,8 @@ class TestEndToEndRecovery:
         )
         n = 300
         for i in range(n):
-            sim.schedule(
-                at=i * 20_000,
-                callback=lambda i=i: self._publish_one(publisher, proxy, i + 1),
+            sim.schedule_at(
+                i * 20_000, lambda i=i: self._publish_one(publisher, proxy, i + 1)
             )
         sim.run(until=60 * MILLISECOND)
         # The stream still advances to the end; some ranges were written

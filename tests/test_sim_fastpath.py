@@ -1,22 +1,14 @@
-"""The two-tier scheduling API: fast path ≡ validated wrapper.
+"""The scheduling API's bookkeeping: tokens, live counts, compaction.
 
-``schedule_at``/``schedule_after`` (positional, raw-token) and
-``schedule()`` (keyword, EventHandle) share one queue and one sequence
-counter, so the same workload scheduled through either tier must
-produce bit-identical runs. These tests pin that equivalence, the
-``pending``/``pending_raw`` split, and the cancellation-aware heap
-compaction the fast path relies on for timer-heavy workloads.
+``schedule_at``/``schedule_after`` return the raw heap entry as the
+event token. These tests pin the ``pending``/``pending_raw`` split, the
+no-op cancel of an already-fired token, and the cancellation-aware heap
+compaction that timer-heavy workloads rely on.
 """
 
 import pytest
 
-from repro.sim.kernel import (
-    EV_CANCELLED,
-    EventHandle,
-    MILLISECOND,
-    SimulationError,
-    Simulator,
-)
+from repro.sim.kernel import EV_CANCELLED, MILLISECOND, Simulator
 
 # Workload sizes comfortably past the compaction threshold (64).
 N_EVENTS = 200
@@ -26,79 +18,20 @@ def _record(log, tag):
     log.append(tag)
 
 
-class TestTierEquivalence:
-    def _workload(self):
-        """(delay, priority, tag) triples with time and priority ties."""
-        return [
-            ((i * 37) % 500 + 1, (i % 3) - 1, i) for i in range(N_EVENTS)
-        ]
-
-    def test_identical_event_order_across_tiers(self):
-        """The same workload through either tier fires identically."""
-        runs = []
-        for tier in ("wrapper", "fast"):
-            sim = Simulator(seed=5)
-            log = []
-            for delay, priority, tag in self._workload():
-                if tier == "wrapper":
-                    sim.schedule(
-                        after=delay, callback=_record, args=(log, tag),
-                        priority=priority,
-                    )
-                else:
-                    sim.schedule_after(
-                        delay, _record, (log, tag), priority=priority
-                    )
-            trace = []
-            sim.add_trace_hook(lambda t, cb, trace=trace: trace.append(t))
-            sim.run()
-            runs.append((log, trace, sim.now, sim.events_executed))
-        assert runs[0] == runs[1]
-
-    def test_tiers_share_one_sequence_counter(self):
-        """Interleaved same-time events stay FIFO across tiers."""
-        sim = Simulator()
-        log = []
-        for tag in range(10):
-            if tag % 2:
-                sim.schedule(after=100, callback=_record, args=(log, tag))
-            else:
-                sim.schedule_after(100, _record, (log, tag))
-        sim.run()
-        assert log == list(range(10))
-
+class TestPositionalScheduling:
     def test_schedule_at_matches_schedule_after(self):
+        """(delay, priority, tag) triples with time and priority ties
+        fire identically through the absolute and the relative form."""
         a, b = Simulator(), Simulator()
         log_a, log_b = [], []
-        for delay, priority, tag in self._workload():
-            a.schedule_at(delay, _record, (log_a, tag), priority=priority)
-            b.schedule_after(delay, _record, (log_b, tag), priority=priority)
+        for i in range(N_EVENTS):
+            delay, priority = (i * 37) % 500 + 1, (i % 3) - 1
+            a.schedule_at(delay, _record, (log_a, i), priority=priority)
+            b.schedule_after(delay, _record, (log_b, i), priority=priority)
         a.run()
         b.run()
         assert log_a == log_b
         assert a.now == b.now
-
-    def test_fast_path_rejects_the_past(self):
-        sim = Simulator()
-        sim.schedule_after(100, _record, ([], 0))
-        sim.run()
-        with pytest.raises(SimulationError):
-            sim.schedule_at(50, _record, ([], 0))
-        with pytest.raises(SimulationError):
-            sim.schedule_after(-10, _record, ([], 0))
-
-    def test_raw_token_wraps_into_a_handle(self):
-        sim = Simulator()
-        fired = []
-        token = sim.schedule_after(10, _record, (fired, 1))
-        handle = EventHandle(sim, token)
-        assert handle.time == 10
-        assert not handle.cancelled
-        handle.cancel()
-        assert handle.cancelled
-        assert token[EV_CANCELLED] is True
-        sim.run()
-        assert fired == []
 
 
 class TestPendingCounts:

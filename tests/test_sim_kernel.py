@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim.kernel import (
+    EV_CANCELLED,
     MICROSECOND,
     MILLISECOND,
     SECOND,
@@ -19,7 +20,7 @@ def test_time_starts_at_zero():
 def test_schedule_after_advances_time():
     sim = Simulator()
     fired = []
-    sim.schedule(after=150, callback=lambda: fired.append(sim.now))
+    sim.schedule_after(150, lambda: fired.append(sim.now))
     sim.run()
     assert fired == [150]
     assert sim.now == 150
@@ -28,7 +29,7 @@ def test_schedule_after_advances_time():
 def test_schedule_at_absolute_time():
     sim = Simulator()
     fired = []
-    sim.schedule(at=42, callback=lambda: fired.append(sim.now))
+    sim.schedule_at(42, lambda: fired.append(sim.now))
     sim.run()
     assert fired == [42]
 
@@ -37,7 +38,7 @@ def test_same_time_events_fire_in_scheduling_order():
     sim = Simulator()
     order = []
     for tag in range(10):
-        sim.schedule(after=100, callback=order.append, args=(tag,))
+        sim.schedule_after(100, order.append, (tag,))
     sim.run()
     assert order == list(range(10))
 
@@ -45,8 +46,8 @@ def test_same_time_events_fire_in_scheduling_order():
 def test_priority_breaks_same_time_ties():
     sim = Simulator()
     order = []
-    sim.schedule(after=100, callback=order.append, args=("low",), priority=5)
-    sim.schedule(after=100, callback=order.append, args=("high",), priority=-5)
+    sim.schedule_after(100, order.append, ("low",), priority=5)
+    sim.schedule_after(100, order.append, ("high",), priority=-5)
     sim.run()
     assert order == ["high", "low"]
 
@@ -55,7 +56,7 @@ def test_events_fire_in_time_order_regardless_of_insertion():
     sim = Simulator()
     times = []
     for delay in (500, 100, 300, 200, 400):
-        sim.schedule(after=delay, callback=lambda: times.append(sim.now))
+        sim.schedule_after(delay, lambda: times.append(sim.now))
     sim.run()
     assert times == sorted(times)
 
@@ -63,26 +64,27 @@ def test_events_fire_in_time_order_regardless_of_insertion():
 def test_cancelled_event_does_not_fire():
     sim = Simulator()
     fired = []
-    handle = sim.schedule(after=10, callback=lambda: fired.append(1))
-    handle.cancel()
+    token = sim.schedule_after(10, lambda: fired.append(1))
+    sim.cancel(token)
     sim.run()
     assert fired == []
-    assert handle.cancelled
+    assert token[EV_CANCELLED] is True
 
 
 def test_cancel_is_idempotent():
     sim = Simulator()
-    handle = sim.schedule(after=10, callback=lambda: None)
-    handle.cancel()
-    handle.cancel()
-    assert handle.cancelled
+    token = sim.schedule_after(10, lambda: None)
+    sim.cancel(token)
+    sim.cancel(token)
+    assert token[EV_CANCELLED] is True
+    assert sim.pending == 0
 
 
 def test_run_until_stops_at_boundary():
     sim = Simulator()
     fired = []
-    sim.schedule(after=100, callback=lambda: fired.append("a"))
-    sim.schedule(after=2_000, callback=lambda: fired.append("b"))
+    sim.schedule_after(100, lambda: fired.append("a"))
+    sim.schedule_after(2_000, lambda: fired.append("b"))
     sim.run(until=1_000)
     assert fired == ["a"]
     assert sim.now == 1_000  # advanced exactly to the boundary
@@ -93,7 +95,7 @@ def test_run_until_stops_at_boundary():
 def test_run_until_exactly_on_event_time_includes_event():
     sim = Simulator()
     fired = []
-    sim.schedule(after=1_000, callback=lambda: fired.append(1))
+    sim.schedule_after(1_000, lambda: fired.append(1))
     sim.run(until=1_000)
     assert fired == [1]
 
@@ -105,34 +107,28 @@ def test_events_can_schedule_more_events():
     def chain(depth):
         trace.append((sim.now, depth))
         if depth < 3:
-            sim.schedule(after=10, callback=chain, args=(depth + 1,))
+            sim.schedule_after(10, chain, (depth + 1,))
 
-    sim.schedule(after=0, callback=chain, args=(0,))
+    sim.schedule_after(0, chain, (0,))
     sim.run()
     assert trace == [(0, 0), (10, 1), (20, 2), (30, 3)]
 
 
 def test_scheduling_in_the_past_raises():
     sim = Simulator()
-    sim.schedule(after=100, callback=lambda: None)
+    sim.schedule_after(100, lambda: None)
     sim.run()
     with pytest.raises(SimulationError):
-        sim.schedule(at=50, callback=lambda: None)
-
-
-def test_requires_exactly_one_time_argument():
-    sim = Simulator()
+        sim.schedule_at(50, lambda: None)
     with pytest.raises(SimulationError):
-        sim.schedule(callback=lambda: None)
-    with pytest.raises(SimulationError):
-        sim.schedule(at=1, after=1, callback=lambda: None)
+        sim.schedule_after(-10, lambda: None)
 
 
 def test_stop_halts_run():
     sim = Simulator()
     fired = []
-    sim.schedule(after=1, callback=lambda: (fired.append(1), sim.stop()))
-    sim.schedule(after=2, callback=lambda: fired.append(2))
+    sim.schedule_after(1, lambda: (fired.append(1), sim.stop()))
+    sim.schedule_after(2, lambda: fired.append(2))
     sim.run()
     assert fired == [1]
     sim.run()
@@ -145,9 +141,9 @@ def test_max_events_bound():
 
     def rearm():
         count.append(1)
-        sim.schedule(after=1, callback=rearm)
+        sim.schedule_after(1, rearm)
 
-    sim.schedule(after=1, callback=rearm)
+    sim.schedule_after(1, rearm)
     executed = sim.run(max_events=100)
     assert executed == 100
 
@@ -156,9 +152,9 @@ def test_run_until_idle_raises_on_runaway():
     sim = Simulator()
 
     def rearm():
-        sim.schedule(after=1, callback=rearm)
+        sim.schedule_after(1, rearm)
 
-    sim.schedule(after=1, callback=rearm)
+    sim.schedule_after(1, rearm)
     with pytest.raises(SimulationError):
         sim.run_until_idle(max_events=50)
 
@@ -169,7 +165,7 @@ def test_reentrant_run_rejected():
     def inner():
         sim.run()
 
-    sim.schedule(after=1, callback=inner)
+    sim.schedule_after(1, inner)
     with pytest.raises(SimulationError):
         sim.run()
 
@@ -178,8 +174,8 @@ def test_trace_hook_sees_every_event():
     sim = Simulator()
     seen = []
     sim.add_trace_hook(lambda t, cb: seen.append(t))
-    sim.schedule(after=5, callback=lambda: None)
-    sim.schedule(after=9, callback=lambda: None)
+    sim.schedule_after(5, lambda: None)
+    sim.schedule_after(9, lambda: None)
     sim.run()
     assert seen == [5, 9]
 
@@ -187,7 +183,7 @@ def test_trace_hook_sees_every_event():
 def test_events_executed_counter_accumulates():
     sim = Simulator()
     for i in range(7):
-        sim.schedule(after=i + 1, callback=lambda: None)
+        sim.schedule_after(i + 1, lambda: None)
     sim.run()
     assert sim.events_executed == 7
 

@@ -23,6 +23,17 @@ def test_component_call_after_and_at():
     assert component.now == 25
 
 
+def test_call_after_returns_a_cancellable_token():
+    sim = Simulator()
+    component = Component(sim, "c")
+    fired = []
+    sim.cancel(component.call_after(10, fired.append, "after"))
+    sim.cancel(component.call_at(25, fired.append, "at"))
+    sim.run()
+    assert fired == []
+    assert sim.pending == 0
+
+
 def test_component_start_is_idempotent():
     component = Component(Simulator(), "c")
     component.start()
@@ -53,7 +64,7 @@ def test_timer_restart_supersedes_pending_expiry():
     fired = []
     timer = Timer(sim, lambda: fired.append(sim.now))
     timer.start(100)
-    sim.schedule(after=50, callback=lambda: timer.restart(100))
+    sim.schedule_after(50, lambda: timer.restart(100))
     sim.run()
     assert fired == [150]  # the original 100 expiry never fired
 

@@ -11,7 +11,7 @@ class TestDriftingClock:
     def test_perfect_clock_reads_true_time(self):
         sim = Simulator()
         clock = DriftingClock(sim, "ideal")
-        sim.schedule(after=1_000_000, callback=lambda: None)
+        sim.schedule_after(1_000_000, lambda: None)
         sim.run()
         assert clock.read() == sim.now
         assert clock.error_ns() == 0
@@ -19,7 +19,7 @@ class TestDriftingClock:
     def test_drift_accumulates(self):
         sim = Simulator()
         clock = DriftingClock(sim, "fast", drift_ppm=20.0)
-        sim.schedule(at=1 * SECOND, callback=lambda: None)
+        sim.schedule_at(1 * SECOND, lambda: None)
         sim.run()
         # 20 ppm over 1 s = 20 us fast.
         assert clock.error_ns() == pytest.approx(20_000, rel=0.01)
@@ -27,7 +27,7 @@ class TestDriftingClock:
     def test_negative_drift_runs_slow(self):
         sim = Simulator()
         clock = DriftingClock(sim, "slow", drift_ppm=-10.0)
-        sim.schedule(at=1 * SECOND, callback=lambda: None)
+        sim.schedule_at(1 * SECOND, lambda: None)
         sim.run()
         assert clock.error_ns() == pytest.approx(-10_000, rel=0.01)
 
@@ -45,8 +45,8 @@ class TestDriftingClock:
     def test_frequency_adjustment_changes_future_drift(self):
         sim = Simulator()
         clock = DriftingClock(sim, "c", drift_ppm=10.0)
-        sim.schedule(at=1 * SECOND, callback=lambda: clock.adjust_frequency(-10.0))
-        sim.schedule(at=2 * SECOND, callback=lambda: None)
+        sim.schedule_at(1 * SECOND, lambda: clock.adjust_frequency(-10.0))
+        sim.schedule_at(2 * SECOND, lambda: None)
         sim.run()
         # First second drifted +10 us; second second was disciplined.
         assert clock.error_ns() == pytest.approx(10_000, rel=0.01)

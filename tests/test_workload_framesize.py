@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.analysis.stats import describe
 from repro.workload.framesize import (
     FEED_PROFILES,
     FRAME_OVERHEAD,
