@@ -69,6 +69,9 @@ class Roles:
     strat_nics: list[tuple[Nic, Nic]] = field(default_factory=list)  # md, orders
     gw_nics: tuple[Nic, Nic] | None = None  # strat, exch
     exchanges: list[Exchange] = field(default_factory=list)
+    # The firm's one ITF decoder: every consumer of the normalized feed
+    # shares it, so a multicast payload is decoded once, not per receiver.
+    itf_codec: ItfCodec = field(default_factory=ItfCodec)
 
     def nic(self, host: str, name: str) -> Nic:
         """An uncabled NIC: the fabric attaches its link (or registration)."""
@@ -99,7 +102,8 @@ def momentum_strategies(roles: Roles, universe, recorder, order_address) -> list
     return [
         MomentumStrategy(
             roles.sim, f"strat{i}", md, orders, order_address,
-            recorder=recorder, symbol=hot[i % len(hot)].name, trigger_ticks=1,
+            recorder=recorder, itf_codec=roles.itf_codec,
+            symbol=hot[i % len(hot)].name, trigger_ticks=1,
             **given(decision_latency_ns=roles.knobs.function_latency_ns),
         )
         for i, (md, orders) in enumerate(roles.strat_nics)
@@ -112,7 +116,8 @@ def arbitrage_strategies(roles: Roles, universe, recorder, order_address) -> lis
     return [
         ArbitrageStrategy(
             roles.sim, f"arb{i}", md, orders, order_address,
-            recorder=recorder, min_edge_ticks=roles.knobs.min_edge_ticks,
+            recorder=recorder, itf_codec=roles.itf_codec,
+            min_edge_ticks=roles.knobs.min_edge_ticks,
             **given(decision_latency_ns=roles.knobs.function_latency_ns),
         )
         for i, (md, orders) in enumerate(roles.strat_nics)
@@ -464,7 +469,7 @@ def two_venue_leaf_spine(roles: Roles) -> dict:
     compliance_nic = roles.nic("compliance", "md")
     handles = leaf_spine(roles, taps=[compliance_nic])
     nbbo = NbboBuilder()
-    codec = ItfCodec("standard")
+    codec = roles.itf_codec
 
     def compliance_sink(packet):
         message = packet.message

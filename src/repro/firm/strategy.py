@@ -22,7 +22,7 @@ from repro.net.nic import Nic
 from repro.net.packet import Packet
 from repro.protocols.boe import OrderFill
 from repro.net.headers import frame_bytes_tcp
-from repro.protocols.itf import ItfCodec, NormalizedUpdate
+from repro.protocols.itf import ItfCodec, ItfDecodeError, NormalizedUpdate
 from repro.sim.kernel import Simulator
 from repro.sim.process import Component
 from repro.timing.latency import LatencyRecorder
@@ -52,6 +52,9 @@ class InternalOrder:
     # Timestamp of the market-data event this order reacted to, echoed
     # down the chain for end-to-end latency attribution.
     trigger_time_ns: int = 0
+
+
+_ORDER_FRAME_BYTES = frame_bytes_tcp(InternalOrder.WIRE_BYTES)
 
 
 @dataclass
@@ -91,13 +94,15 @@ class Strategy(Component):
         self.decision_latency_ns = int(decision_latency_ns)
         self.recorder = recorder
         self.stats = StrategyStats()
-        self._codecs: dict[str, ItfCodec] = {}
-        if itf_codec is not None:
-            self._codecs[itf_codec.mode] = itf_codec
+        # The firm's ITF decoder. Strategies handed one shared codec
+        # decode each multicast payload once between them (the codec
+        # memoises the last payload); the default is a private one.
+        self.itf_codec = itf_codec if itf_codec is not None else ItfCodec()
         self._intent_ids = itertools.count(1)
         self._expected_seq: dict[MulticastGroup, int] = {}
         # Precomputed instrument name: the MD path must not build it.
         self._seq_gaps_series = f"strategy.{name}.seq_gaps"
+        self._trace_point = f"strategy.{name}"
         md_nic.bind(self._on_md_packet)
         order_nic.bind(self._on_order_packet)
 
@@ -118,36 +123,35 @@ class Strategy(Component):
     # -- market data path ---------------------------------------------------------------
 
     # lint: hot-ok(no-alloc-on-hot-path) — pooling is a ROADMAP item
-    def _codec_for(self, mode: str) -> ItfCodec:
-        codec = self._codecs.get(mode)
-        if codec is None:
-            codec = ItfCodec(mode)  # type: ignore[arg-type]
-            self._codecs[mode] = codec
-        return codec
-
-    # lint: hot-ok(no-alloc-on-hot-path) — pooling is a ROADMAP item
     def _on_md_packet(self, packet: Packet) -> None:
         payload = packet.message
         if not (isinstance(payload, tuple) and payload and payload[0] == "itf"):
             return
         _tag, mode, data, exchange_id = payload
-        if isinstance(packet.dst, MulticastGroup) and packet.seqno is not None:
-            expected = self._expected_seq.get(packet.dst)
-            if expected is not None and packet.seqno > expected:
-                self.stats.seq_gaps += 1
-                telemetry = self.sim.telemetry
+        codec = self.itf_codec
+        if mode != codec.mode:
+            raise ItfDecodeError(
+                f"{self.name}: {mode} ITF payload for a {codec.mode} codec"
+            )
+        sim = self.sim
+        now = sim.now
+        stats = self.stats
+        updates = codec.decode_batch(data, exchange_id, now)
+        group, seqno = packet.dst, packet.seqno
+        if seqno is not None and isinstance(group, MulticastGroup):
+            expected = self._expected_seq.get(group)
+            if expected is not None and seqno > expected:
+                stats.seq_gaps += 1
+                telemetry = sim.telemetry
                 if telemetry is not None:
                     telemetry.metrics.counter(self._seq_gaps_series).inc()
-            codec = self._codec_for(mode)
-            updates = codec.decode_batch(data, exchange_id, self.now)
-            self._expected_seq[packet.dst] = packet.seqno + len(updates)
-        else:
-            codec = self._codec_for(mode)
-            updates = codec.decode_batch(data, exchange_id, self.now)
+            self._expected_seq[group] = seqno + len(updates)
+        name = self.name
+        recorder = self.recorder
         for update in updates:
-            self.stats.updates_in += 1
-            if self.recorder is not None:
-                self.recorder.input_event(self.name, self.now)
+            stats.updates_in += 1
+            if recorder is not None:
+                recorder.input_event(name, now)
             orders = self.on_update(update) or []
             if orders:
                 # Stamp the triggering event's origin time onto each order
@@ -158,7 +162,7 @@ class Strategy(Component):
                     else o
                     for o in orders
                 ]
-                self.sim.schedule_after(
+                sim.schedule_after(
                     self.decision_latency_ns, self._send_orders, (orders, packet.trace)
                 )
 
@@ -210,13 +214,16 @@ class Strategy(Component):
 
     # lint: hot-ok(no-alloc-on-hot-path) — pooling is a ROADMAP item
     def _send_orders(self, orders: list[InternalOrder], trace=None) -> None:
+        now = self.sim.now
+        stats = self.stats
+        recorder = self.recorder
         for order in orders:
-            if self.recorder is not None:
-                self.recorder.order_sent(self.name, self.now)
+            if recorder is not None:
+                recorder.order_sent(self.name, now)
             if order.action == "cancel":
-                self.stats.cancels_sent += 1
+                stats.cancels_sent += 1
             else:
-                self.stats.orders_sent += 1
+                stats.orders_sent += 1
             out_trace = None
             if trace is not None:
                 # Rebase the trace origin onto the triggering event's
@@ -226,14 +233,14 @@ class Strategy(Component):
                 out_trace = trace.fork()
                 if order.trigger_time_ns:
                     out_trace.rebase(order.trigger_time_ns)
-                out_trace.record(f"strategy.{self.name}", "strategy", self.now)
+                out_trace.record(self._trace_point, "strategy", now)
             packet = Packet(
                 src=self.order_nic.address,
                 dst=self.gateway_address,
-                wire_bytes=frame_bytes_tcp(InternalOrder.WIRE_BYTES),
+                wire_bytes=_ORDER_FRAME_BYTES,
                 payload_bytes=InternalOrder.WIRE_BYTES,
                 message=order,
-                created_at=self.now,
+                created_at=now,
                 trace=out_trace,
             )
             self.order_nic.send(packet)

@@ -97,16 +97,22 @@ class _Direction:
     def send(self, packet: Packet) -> bool:
         """Enqueue ``packet`` for transmission. Returns False if dropped."""
         sim = self.sim
+        wire_bytes = packet.wire_bytes
         limit = self.link.queue_limit_bytes
-        if limit is not None and self.queued_bytes + packet.wire_bytes > limit:
+        telemetry = sim.telemetry
+        if limit is not None and self.queued_bytes + wire_bytes > limit:
             self.stats.packets_dropped_queue += 1
-            telemetry = sim.telemetry
             if telemetry is not None:
                 telemetry.count(self._drops_series, sim.now)
             return False
+        if telemetry is None and not self.transmitting:
+            # Idle transmitter: the frame would leave the queue in the
+            # instant it entered, waiting 0 ns. Only a telemetry session
+            # observes that round trip (two depth-gauge writes).
+            self._transmit(packet)
+            return True
         self.queue.append((packet, sim.now))
-        self.queued_bytes += packet.wire_bytes
-        telemetry = sim.telemetry
+        self.queued_bytes += wire_bytes
         if telemetry is not None:
             telemetry.gauge_set(self._depth_series, sim.now, self.queued_bytes)
         if not self.transmitting:
@@ -125,12 +131,17 @@ class _Direction:
         stats.queue_delay_total_ns += wait
         if wait > stats.queue_delay_max_ns:
             stats.queue_delay_max_ns = wait
+        self._transmit(packet)
+
+    def _transmit(self, packet: Packet) -> None:
+        stats = self.stats
+        wire_bytes = packet.wire_bytes
         self.transmitting = True
-        ser = self.link.serialization_ns(packet.wire_bytes)
+        ser = self.link.serialization_ns(wire_bytes)
         stats.busy_ns += ser
         stats.packets_sent += 1
-        stats.bytes_sent += packet.wire_bytes
-        sim.schedule_after(ser, self._serialization_done, (packet,))
+        stats.bytes_sent += wire_bytes
+        self.sim.schedule_after(ser, self._serialization_done, (packet,))
 
     def _serialization_done(self, packet: Packet) -> None:
         self.transmitting = False
@@ -187,6 +198,8 @@ class Link:
         self.name = name
         self.end_a = end_a
         self.end_b = end_b
+        # frame bytes -> line time at the current rate; see bandwidth_bps.
+        self._serialization_memo: dict[int, int] = {}
         self.bandwidth_bps = float(bandwidth_bps)
         self.propagation_delay_ns = int(propagation_delay_ns)
         self.loss_prob = float(loss_prob)
@@ -195,10 +208,25 @@ class Link:
         self._b_to_a = _Direction(self, "b->a", end_a)
         sim.components.append(self)  # a Link is a device but not a Component
 
+    @property
+    def bandwidth_bps(self) -> float:
+        """Line rate. Assignable mid-run (chaos ``link_rate`` windows do);
+        a new rate discards the memoised serialization times."""
+        return self._bandwidth_bps
+
+    @bandwidth_bps.setter
+    def bandwidth_bps(self, value: float) -> None:
+        self._bandwidth_bps = value
+        self._serialization_memo.clear()
+
     def serialization_ns(self, frame_bytes: int) -> int:
         """Line time for one frame, including preamble + inter-frame gap."""
-        bits = (frame_bytes + ETHERNET_OVERHEAD_BYTES) * 8
-        return max(1, int(round(bits / self.bandwidth_bps * 1e9)))
+        ser = self._serialization_memo.get(frame_bytes)
+        if ser is None:
+            bits = (frame_bytes + ETHERNET_OVERHEAD_BYTES) * 8
+            ser = max(1, int(round(bits / self._bandwidth_bps * 1e9)))
+            self._serialization_memo[frame_bytes] = ser
+        return ser
 
     def other_end(self, device: PacketSink) -> PacketSink:
         """The sink at the far end from ``device``."""

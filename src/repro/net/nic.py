@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.net.addressing import EndpointAddress, MulticastGroup, is_multicast
+from repro.net.addressing import EndpointAddress, MulticastGroup
 from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.sim.kernel import Simulator
@@ -109,43 +109,46 @@ class Nic(Component):
 
     def handle_packet(self, packet: Packet, ingress: Link) -> None:
         """Link-side entry point (PacketSink protocol)."""
-        self.stats.packets_received += 1
-        self.stats.bytes_received += packet.wire_bytes
-        if not self._accepts(packet):
-            self.stats.packets_filtered += 1
-            return
+        stats = self.stats
+        stats.packets_received += 1
+        stats.bytes_received += packet.wire_bytes
+        if not self.promiscuous:
+            # The hardware MAC filter: joined groups and our own address.
+            dst = packet.dst
+            if type(dst) is MulticastGroup:
+                accepted = dst in self._groups
+            else:
+                accepted = dst == self.address
+            if not accepted:
+                stats.packets_filtered += 1
+                return
+        sim = self.sim
+        now = sim.now
+        telemetry = sim.telemetry
         if self.chaos_drop_prob > 0.0:
             rng = self._chaos_rng
             if rng is None:
-                rng = self._chaos_rng = self.sim.rng.stream(self._chaos_stream_name)
+                rng = self._chaos_rng = sim.rng.stream(self._chaos_stream_name)
             if rng.random() < self.chaos_drop_prob:
-                self.stats.packets_chaos_dropped += 1
-                telemetry = self.sim.telemetry
+                stats.packets_chaos_dropped += 1
                 if telemetry is not None:
-                    telemetry.count(self._chaos_drops_series, self.now)
+                    telemetry.count(self._chaos_drops_series, now)
                 return
-        packet.stamp(self._rx_stamp, self.now)
+        packet.stamp(self._rx_stamp, now)
         if packet.trace is not None:
-            packet.trace.record(self._rx_stamp, "wire", self.now)
-        telemetry = self.sim.telemetry
+            packet.trace.record(self._rx_stamp, "wire", now)
         if telemetry is not None:
-            telemetry.gauge_add(self._rx_inflight_series, self.now, 1)
-        self.sim.schedule_after(self.rx_latency_ns, self._deliver, (packet,))
-
-    def _accepts(self, packet: Packet) -> bool:
-        if self.promiscuous:
-            return True
-        if is_multicast(packet.dst):
-            return packet.dst in self._groups
-        return packet.dst == self.address
+            telemetry.gauge_add(self._rx_inflight_series, now, 1)
+        sim.schedule_after(self.rx_latency_ns, self._deliver, (packet,))
 
     def _deliver(self, packet: Packet) -> None:
         self.stats.packets_delivered += 1
-        telemetry = self.sim.telemetry
+        sim = self.sim
+        telemetry = sim.telemetry
         if telemetry is not None:
-            telemetry.gauge_add(self._rx_inflight_series, self.now, -1)
+            telemetry.gauge_add(self._rx_inflight_series, sim.now, -1)
         if packet.trace is not None:
-            packet.trace.record(self._trace_point, "nic", self.now)
+            packet.trace.record(self._trace_point, "nic", sim.now)
         if self._handler is not None:
             self._handler(packet)
 
@@ -159,22 +162,25 @@ class Nic(Component):
         """
         if self.link is None:
             raise RuntimeError(f"NIC {self.name} is not attached to a link")
-        packet.stamp(self._tx_stamp, self.now)
-        self.stats.packets_sent += 1
-        self.stats.bytes_sent += packet.wire_bytes
-        self.sim.schedule_after(self.tx_latency_ns, self._transmit, (packet,))
+        sim = self.sim
+        stats = self.stats
+        packet.stamp(self._tx_stamp, sim.now)
+        stats.packets_sent += 1
+        stats.bytes_sent += packet.wire_bytes
+        sim.schedule_after(self.tx_latency_ns, self._transmit, (packet,))
         return True
 
     def _transmit(self, packet: Packet) -> None:
         assert self.link is not None
+        sim = self.sim
         if packet.trace is not None:
-            packet.trace.record(self._trace_point, "nic", self.now)
+            packet.trace.record(self._trace_point, "nic", sim.now)
         ok = self.link.send(packet, self)
         if not ok:
             self.stats.send_failures += 1
-            telemetry = self.sim.telemetry
+            telemetry = sim.telemetry
             if telemetry is not None:
-                telemetry.count(self._send_failures_series, self.now)
+                telemetry.count(self._send_failures_series, sim.now)
 
 
 @dataclass

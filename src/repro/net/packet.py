@@ -11,7 +11,6 @@ accounting layer read.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Any
 
 from repro.net.addressing import Address, EndpointAddress
@@ -24,7 +23,6 @@ MIN_FRAME_BYTES = 64
 MAX_FRAME_BYTES = 1518
 
 
-@dataclass(slots=True)
 class Packet:
     """One frame on the wire.
 
@@ -32,35 +30,52 @@ class Packet:
     Ethernet/IP/UDP (or TCP) headers, matching how the paper's Table 1
     reports frame lengths. ``payload_bytes`` is the application payload
     carried, so ``wire_bytes - payload_bytes`` is header overhead.
+
+    ``trace`` is the telemetry trace context
+    (``repro.telemetry.TraceContext``) or ``None`` — always ``None`` when
+    telemetry is disabled, so the per-device hooks cost one attribute
+    check on the hot path.
     """
 
-    src: EndpointAddress
-    dst: Address
-    wire_bytes: int
-    payload_bytes: int
-    message: Any = None
-    seqno: int | None = None
-    created_at: int = 0
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
-    # Timestamp trail: list of (where, when_ns) pairs appended by NICs,
-    # switches, and capture taps as the packet traverses them.
-    trail: list[tuple[str, int]] = field(default_factory=list)
-    # Telemetry trace context (repro.telemetry.TraceContext) or None.
-    # None whenever telemetry is disabled, so the per-device hooks cost
-    # one attribute check on the hot path.
-    trace: Any = None
+    __slots__ = (
+        "src", "dst", "wire_bytes", "payload_bytes", "message", "seqno",
+        "created_at", "packet_id", "trace", "_trail",
+    )
 
-    def __post_init__(self) -> None:
-        if self.wire_bytes < MIN_FRAME_BYTES:
+    def __init__(
+        self,
+        src: EndpointAddress,
+        dst: Address,
+        wire_bytes: int,
+        payload_bytes: int,
+        message: Any = None,
+        seqno: int | None = None,
+        created_at: int = 0,
+        trace: Any = None,
+    ):
+        if wire_bytes < MIN_FRAME_BYTES:
             # Ethernet pads runt frames up to the 64-byte minimum.
-            self.wire_bytes = MIN_FRAME_BYTES
-        if self.wire_bytes > MAX_FRAME_BYTES:
+            wire_bytes = MIN_FRAME_BYTES
+        if wire_bytes > MAX_FRAME_BYTES:
             raise ValueError(
-                f"frame of {self.wire_bytes} B exceeds Ethernet maximum "
+                f"frame of {wire_bytes} B exceeds Ethernet maximum "
                 f"({MAX_FRAME_BYTES} B); fragment at a higher layer"
             )
-        if self.payload_bytes < 0 or self.payload_bytes > self.wire_bytes:
+        if payload_bytes < 0 or payload_bytes > wire_bytes:
             raise ValueError("payload_bytes must be within [0, wire_bytes]")
+        self.src = src
+        self.dst = dst
+        self.wire_bytes = wire_bytes
+        self.payload_bytes = payload_bytes
+        self.message = message
+        self.seqno = seqno
+        self.created_at = created_at
+        self.packet_id = next(_packet_ids)
+        self.trace = trace
+        # Timestamp trail, newest first: a persistent list of
+        # (where, when_ns, older) cells. Cells are immutable, so fan-out
+        # copies share their common history instead of copying it.
+        self._trail: tuple | None = None
 
     @property
     def header_bytes(self) -> int:
@@ -74,7 +89,19 @@ class Packet:
 
     def stamp(self, where: str, when: int) -> None:
         """Append a trail entry; used by taps and latency accounting."""
-        self.trail.append((where, when))
+        self._trail = (where, when, self._trail)
+
+    @property
+    def trail(self) -> list[tuple[str, int]]:
+        """The ``(where, when_ns)`` pairs stamped by NICs, switches and
+        capture taps as the packet traversed them, oldest first."""
+        entries = []
+        cell = self._trail
+        while cell is not None:
+            where, when, cell = cell
+            entries.append((where, when))
+        entries.reverse()
+        return entries
 
     def first_stamp(self, prefix: str) -> int | None:
         """Earliest trail time whose location starts with ``prefix``."""
@@ -91,20 +118,21 @@ class Packet:
                 found = when
         return found
 
-    # lint: hot-ok(no-alloc-on-hot-path) — pooling is a ROADMAP item
     def clone(self) -> "Packet":
-        """Copy for multicast fan-out: fresh id, copied trail, forked trace."""
-        return Packet(
-            src=self.src,
-            dst=self.dst,
-            wire_bytes=self.wire_bytes,
-            payload_bytes=self.payload_bytes,
-            message=self.message,
-            seqno=self.seqno,
-            created_at=self.created_at,
-            trail=list(self.trail),
-            trace=self.trace.fork() if self.trace is not None else None,
-        )
+        """Copy for multicast fan-out: fresh id, shared history, forked trace."""
+        copy = Packet.__new__(Packet)  # not __init__: the original was validated
+        copy.src = self.src
+        copy.dst = self.dst
+        copy.wire_bytes = self.wire_bytes
+        copy.payload_bytes = self.payload_bytes
+        copy.message = self.message
+        copy.seqno = self.seqno
+        copy.created_at = self.created_at
+        copy.packet_id = next(_packet_ids)
+        trace = self.trace
+        copy.trace = trace.fork() if trace is not None else None
+        copy._trail = self._trail
+        return copy
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

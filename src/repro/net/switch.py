@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from repro.net.addressing import Address, EndpointAddress, MulticastGroup, is_multicast
+from repro.net.addressing import EndpointAddress, MulticastGroup
 from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.sim.kernel import Simulator
@@ -112,6 +112,9 @@ class CommoditySwitch(Component):
         self._sw_drops_series = f"switch.{name}.software_drops"
         self._sw_depth_series = f"switch.{name}.software_queue_depth"
         self._trace_point = f"switch.{name}"
+        # Cut-through forwarding latency does not depend on the frame;
+        # 0 (store-and-forward) means "compute it per packet".
+        self._cut_through_ns = 0 if profile.store_and_forward else profile.hop_latency_ns
 
     # -- wiring ------------------------------------------------------------
 
@@ -175,43 +178,44 @@ class CommoditySwitch(Component):
     # -- datapath ------------------------------------------------------------
 
     def handle_packet(self, packet: Packet, ingress: Link) -> None:
-        """PacketSink entry point: classify and forward."""
+        """PacketSink entry point: classify and forward.
+
+        The two hardware paths (unicast FIB hit, hardware mroute hit) are
+        handled here in one frame; only multicast groups that spilled to
+        the software table leave it.
+        """
+        stats = self.stats
         if self.failed:
-            self.stats.blackholed += 1
+            stats.blackholed += 1
             return
-        self.stats.packets_forwarded += 1
-        if packet.trace is not None:
-            packet.trace.record(self._trace_point, "wire", self.now)
-        if is_multicast(packet.dst):
-            self._forward_multicast(packet, ingress)
-        else:
-            self._forward_unicast(packet, ingress)
-
-    def _forward_unicast(self, packet: Packet, ingress: Link) -> None:
-        egress = self.fib.get(packet.dst)  # type: ignore[arg-type]
-        if egress is None or egress is ingress:
-            self.stats.unroutable += 1
+        stats.packets_forwarded += 1
+        sim = self.sim
+        trace = packet.trace
+        if trace is not None:
+            trace.record(self._trace_point, "wire", sim.now)
+        dst = packet.dst
+        delay_ns = self._cut_through_ns or self._forward_latency_ns(packet)
+        if type(dst) is not MulticastGroup:
+            egress = self.fib.get(dst)
+            if egress is None or egress is ingress:
+                stats.unroutable += 1
+                return
+            stats.unicast_forwarded += 1
+            sim.schedule_after(delay_ns, self._emit, (packet, egress))
             return
-        self.stats.unicast_forwarded += 1
-        delay_ns = self._forward_latency_ns(packet)
-        self.sim.schedule_after(delay_ns, self._emit, (packet, egress))
-
-    def _forward_multicast(self, packet: Packet, ingress: Link) -> None:
-        group = packet.dst
-        assert isinstance(group, MulticastGroup)
-        hw_entry = self._mroute_hw.get(group)
-        if hw_entry is not None:
-            self.stats.multicast_forwarded += 1
-            delay_ns = self._forward_latency_ns(packet)
-            schedule_after = self.sim.schedule_after
-            emit = self._emit
-            for egress in hw_entry:
-                if egress is ingress:
-                    continue
+        hw_entry = self._mroute_hw.get(dst)
+        if hw_entry is None:
+            self._forward_software(packet, ingress)
+            return
+        stats.multicast_forwarded += 1
+        schedule_after = sim.schedule_after
+        emit = self._emit
+        for egress in hw_entry:
+            if egress is not ingress:
                 schedule_after(delay_ns, emit, (packet.clone(), egress))
-            return
-        sw_entry = self._mroute_sw.get(group)
-        if sw_entry is None:
+
+    def _forward_software(self, packet: Packet, ingress: Link) -> None:
+        if packet.dst not in self._mroute_sw:
             self.stats.unroutable += 1
             return
         # Software path: one slow service queue shared by all spilled groups.
@@ -236,9 +240,7 @@ class CommoditySwitch(Component):
         telemetry = self.sim.telemetry
         if telemetry is not None:
             telemetry.gauge_set(self._sw_depth_series, self.now, len(self._sw_queue))
-        group = packet.dst
-        assert isinstance(group, MulticastGroup)
-        entry = self._mroute_sw.get(group, ())
+        entry = self._mroute_sw.get(packet.dst, ())
         self.stats.software_forwarded += 1
         for egress in entry:
             if egress is ingress:
@@ -260,9 +262,9 @@ class CommoditySwitch(Component):
         return latency_ns
 
     def _emit(self, packet: Packet, egress: Link) -> None:
-        packet.stamp(self._trace_point, self.now)
+        now = self.sim.now
+        packet.stamp(self._trace_point, now)
         if packet.trace is not None:
-            packet.trace.record(self._trace_point, "switch", self.now)
-        ok = egress.send(packet, self)
-        if not ok:
+            packet.trace.record(self._trace_point, "switch", now)
+        if not egress.send(packet, self):
             self.stats.egress_send_failures += 1

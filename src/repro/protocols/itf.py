@@ -6,7 +6,7 @@ best-bid/offer updates and trades in a fixed layout.
 
 Two encodings are provided:
 
-* **standard** — self-contained 56-byte records (symbol inline);
+* **standard** — self-contained 48-byte records (symbol inline);
 * **compact** — the §5 "header compression" idea: symbols interned to a
   2-byte id agreed between sender and receiver, prices and sizes narrowed,
   giving 20-byte records. The E14 ablation uses compact mode to show that
@@ -59,10 +59,9 @@ class NormalizedUpdate:
         return self.bid_price >= self.ask_price
 
 
-_STANDARD = struct.Struct("<8sHcIQIQQx")  # 8+2+1+4+8+4+8+8+1 = 44... see below
-# Layout check: symbol(8) exchange(2) kind(1) bid_size(4) bid_price(8)
-# ask_size(4) ask_price(8) source_time(8) pad(1) = 44 bytes. We widen with
-# explicit padding to a round 48 to leave room for future flags.
+# symbol(8) exchange(2) kind(1) bid_size(4) bid_price(8) ask_size(4)
+# ask_price(8) source_time(8) = 43 bytes, padded to a round 48 to leave
+# room for future flags.
 _STANDARD = struct.Struct("<8sHcIQIQQ5x")
 STANDARD_RECORD_BYTES = _STANDARD.size  # 48
 
@@ -88,6 +87,13 @@ class ItfCodec:
         self._symbol_to_id: dict[str, int] = {}
         self._id_to_symbol: dict[int, str] = {}
         self._reference_price: dict[int, int] = {}
+        # decode_batch's one-entry memo: the last payload decoded (held,
+        # so its identity cannot be reused), the context it was decoded
+        # in, and the records. Every receiver of one multicast frame
+        # holds the same payload object, so only the first decodes it.
+        self._memo_buf: bytes | None = None
+        self._memo_context = (0, 0)
+        self._memo_records: tuple[NormalizedUpdate, ...] = ()
 
     @property
     def record_bytes(self) -> int:
@@ -209,12 +215,27 @@ class ItfCodec:
     def decode_batch(
         self, buf: bytes, exchange_id: int = 0, source_time_ns: int = 0
     ) -> list[NormalizedUpdate]:
+        """Decode a whole payload; each caller gets its own list.
+
+        Asked again for the *same* ``bytes`` object in the same context,
+        the (frozen) records of the previous call are returned without
+        decoding. The memo is keyed on identity, not content: an equal
+        payload in a different object decodes afresh.
+        """
+        # Standard records carry their own exchange id and source time;
+        # compact ones take both from the caller, so both are context.
+        context = (exchange_id, source_time_ns) if self.mode == "compact" else (0, 0)
+        if buf is self._memo_buf and context == self._memo_context:
+            return list(self._memo_records)
         size = self.record_bytes
         if len(buf) % size:
             raise ItfDecodeError(
                 f"buffer of {len(buf)} B is not a multiple of {size} B records"
             )
-        return [
+        records = [
             self.decode(buf[i : i + size], exchange_id, source_time_ns)
             for i in range(0, len(buf), size)
         ]
+        self._memo_buf, self._memo_context = buf, context
+        self._memo_records = tuple(records)
+        return records

@@ -87,7 +87,9 @@ class Simulator:
     def __init__(self, seed: int = 0, telemetry: bool | object = False):
         from repro.sim.rng import RngStreams
 
-        self._now = 0
+        #: Current virtual time in nanoseconds. A plain attribute: every
+        #: component reads it at least once per event.
+        self.now = 0
         self._queue: list[list] = []
         self._seq = 0
         self._cancelled = 0  # cancelled entries still sitting in the heap
@@ -114,11 +116,6 @@ class Simulator:
             self.telemetry = TelemetrySession()
         else:
             self.telemetry = telemetry or None
-
-    @property
-    def now(self) -> int:
-        """Current virtual time in nanoseconds."""
-        return self._now
 
     @property
     def pending(self) -> int:
@@ -152,9 +149,9 @@ class Simulator:
         be a tuple. Lower ``priority`` values fire earlier among same-time
         events; the default 0 is right for nearly everything.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at t={time} (now is t={self._now})"
+                f"cannot schedule at t={time} (now is t={self.now})"
             )
         event = [time, priority, self._seq, callback, args, False]
         self._seq += 1
@@ -174,12 +171,12 @@ class Simulator:
         The relative-time twin of :meth:`schedule_at`; same contract,
         same raw-entry return.
         """
-        time = self._now + delay_ns
-        if time < self._now:
+        now = self.now
+        if delay_ns < 0:
             raise SimulationError(
-                f"cannot schedule at t={time} (now is t={self._now})"
+                f"cannot schedule at t={now + delay_ns} (now is t={now})"
             )
-        event = [time, priority, self._seq, callback, args, False]
+        event = [now + delay_ns, priority, self._seq, callback, args, False]
         self._seq += 1
         heapq.heappush(self._queue, event)
         return event
@@ -259,23 +256,20 @@ class Simulator:
             clock = profiler.clock
             record = profiler.record
         limit = _UNBOUNDED if max_events is None else max_events
+        horizon = _UNBOUNDED if until is None else until
         try:
-            while queue:
-                if self._stopped:
-                    break
-                if executed >= limit:
-                    break
+            while queue and executed < limit and not self._stopped:
                 event = queue[0]
                 if event[5]:  # EV_CANCELLED
                     heappop(queue)
                     self._cancelled -= 1
                     continue
                 when = event[0]  # EV_TIME
-                if until is not None and when > until:
+                if when > horizon:
                     break
                 heappop(queue)
                 event[5] = _FIRED
-                self._now = when
+                self.now = when
                 callback = event[3]  # EV_CALLBACK
                 if hooks:
                     for hook in hooks:
@@ -289,8 +283,8 @@ class Simulator:
                 executed += 1
         finally:
             self._running = False
-        if until is not None and self._now < until:
-            self._now = until
+        if until is not None and self.now < until:
+            self.now = until
         self.events_executed += executed
         return executed
 

@@ -10,6 +10,7 @@ something to partition on.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +55,11 @@ class SymbolUniverse:
         self.symbols = list(symbols)
         self._by_name = {s.name: s for s in symbols}
         weights = np.array([s.activity_weight for s in symbols], dtype=float)
-        self._probs = weights / weights.sum()
+        # The activity CDF, built once exactly as Generator.choice(p=...)
+        # builds it per call; sample() inverts it.
+        cdf = (weights / weights.sum()).cumsum()
+        cdf /= cdf[-1]
+        self._cdf: list[float] = cdf.tolist()
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -73,9 +78,16 @@ class SymbolUniverse:
         return self._by_name[name].instrument_type
 
     def sample(self, rng: np.random.Generator, n: int = 1) -> list[Symbol]:
-        """Draw ``n`` symbols weighted by activity (with replacement)."""
-        idx = rng.choice(len(self.symbols), size=n, p=self._probs)
-        return [self.symbols[i] for i in idx]
+        """Draw ``n`` symbols weighted by activity (with replacement).
+
+        Inverse-CDF sampling over ``n`` uniforms: index for index the
+        draws of ``rng.choice(len(self), size=n, p=probs)``, which
+        consumes the same doubles from ``rng``, without re-validating
+        and re-accumulating the constant weight vector on every call.
+        """
+        symbols = self.symbols
+        cdf = self._cdf
+        return [symbols[bisect_right(cdf, u)] for u in rng.random(n).tolist()]
 
     def most_active(self, n: int = 1) -> list[Symbol]:
         return sorted(self.symbols, key=lambda s: -s.activity_weight)[:n]

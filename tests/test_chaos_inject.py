@@ -97,10 +97,15 @@ def test_link_rate_window_scales_and_restores_bandwidth():
                  "at_ns": 1_000, "duration_ns": 1_000}),
     )
     observed = []
-    sim.schedule_at(1_500, lambda: observed.append(link.bandwidth_bps))
+    saved_ns = link.serialization_ns(1000)  # memoised at the saved rate
+    sim.schedule_at(
+        1_500,
+        lambda: observed.append((link.bandwidth_bps, link.serialization_ns(1000))),
+    )
     sim.run_until_idle()
-    assert observed == [pytest.approx(1e9)]
+    assert observed == [(pytest.approx(1e9), pytest.approx(10 * saved_ns, rel=0.01))]
     assert link.bandwidth_bps == pytest.approx(10e9)
+    assert link.serialization_ns(1000) == saved_ns
     summary = controller.summary()
     assert summary["fault_windows"][0]["applied"] is True
 

@@ -170,3 +170,50 @@ def test_strategy_latency_recorder_paper_definition():
     assert min(samples) >= 0
     assert statistics.median(samples) >= system.strategies[0].decision_latency_ns
     assert max(samples) < 1_000_000
+
+
+def _itf_packet(codec, updates, mode=None):
+    from repro.net.addressing import EndpointAddress, MulticastGroup
+    from repro.net.packet import Packet
+
+    payload = codec.encode_batch(updates)
+    return Packet(
+        src=EndpointAddress("norm0", "pub"), dst=MulticastGroup("norm", 0),
+        wire_bytes=64 + len(payload), payload_bytes=len(payload),
+        message=("itf", mode or codec.mode, payload, 1), seqno=1,
+    )
+
+
+def test_strategies_sharing_a_codec_decode_each_payload_once():
+    from repro.protocols.itf import ItfCodec
+
+    codec = ItfCodec()
+    decodes = []
+    original = codec.decode
+    codec.decode = lambda *args: decodes.append(1) or original(*args)
+    seen = {}
+    strategies = []
+    for name in ("a", "b", "c"):
+        strategy = _bare_strategy(MomentumStrategy, symbol="AA", itf_codec=codec)
+        strategy.on_update = lambda update, name=name: seen.setdefault(name, []).append(update)
+        strategies.append(strategy)
+    packet = _itf_packet(codec, [_update(), _update(symbol="BB")])
+    for strategy in strategies:
+        strategy.md_nic.handler(packet.clone())  # fan-out copies share the payload
+    assert len(decodes) == 2  # two records, decoded once between three receivers
+    assert seen["a"] == seen["b"] == seen["c"] == [_update(), _update(symbol="BB")]
+    assert all(s.stats.updates_in == 2 for s in strategies)
+
+
+def test_build_system_hands_every_strategy_the_firms_one_codec():
+    system = build_system(design="design1", n_strategies=3)
+    codecs = {id(strategy.itf_codec) for strategy in system.strategies}
+    assert len(codecs) == 1
+
+
+def test_strategy_rejects_payload_in_another_itf_mode():
+    from repro.protocols.itf import ItfCodec, ItfDecodeError
+
+    strategy = _bare_strategy(MomentumStrategy, symbol="AA")
+    with pytest.raises(ItfDecodeError):
+        strategy.md_nic.handler(_itf_packet(ItfCodec(), [_update()], mode="compact"))

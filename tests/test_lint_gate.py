@@ -61,12 +61,19 @@ def test_source_tree_is_lint_clean():
     assert {f.rule_id for f in suppressed} <= HOT_PATH_RULE_IDS
 
 
+# The hot-ok debt ratchet: the suppressed count after the last PR that
+# paid some down. Lower it when a change removes markers; never raise it.
+MAX_SUPPRESSED = 145
+
+
 def test_suppressed_debt_is_counted_not_hidden():
     """The accepted hot-path allocation debt stays visible as suppressed
-    findings (the ROADMAP pooling item will burn it down)."""
+    findings (the ROADMAP pooling item will burn it down), and can only
+    shrink: new hot-path allocations are fixed, not marked."""
     _active, suppressed = split_suppressed(run_lint(root=SRC))
     assert suppressed, "expected hot-ok debt to be reported, not dropped"
     assert all(f.suppressed for f in suppressed)
+    assert len(suppressed) <= MAX_SUPPRESSED
 
 
 def test_gate_scans_the_whole_tree():

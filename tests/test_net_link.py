@@ -173,3 +173,35 @@ def test_link_validation():
         Link(sim, "bad", a, b, loss_prob=1.5)
     with pytest.raises(ValueError):
         Link(sim, "bad", a, a)
+
+
+def test_assigning_bandwidth_discards_memoised_serialization_times():
+    sim = Simulator()
+    link, _, _ = _wire(sim, bandwidth_bps=10e9)
+    at_10g = link.serialization_ns(1000)
+    assert link.serialization_ns(1000) == at_10g  # memo hit
+    link.bandwidth_bps = 1e9
+    assert link.serialization_ns(1000) == round(
+        (1000 + ETHERNET_OVERHEAD_BYTES) * 8 / 1e9 * 1e9
+    )
+    link.bandwidth_bps = 10e9
+    assert link.serialization_ns(1000) == at_10g
+
+
+def test_idle_and_queued_frames_account_the_same_way():
+    """A frame sent to an idle transmitter skips the queue; its stats and
+    the timing of the frames queued behind it are what the queue gives."""
+    sim = Simulator()
+    link, a, b = _wire(sim)
+    arrivals = []
+    b.handle_packet = lambda p, i: arrivals.append(sim.now)
+    for _ in range(3):
+        assert link.send(_packet(wire=1000), a)
+    assert link.queued_bytes_from(a) == 2000  # the first is on the wire
+    sim.run()
+    ser = link.serialization_ns(1000)
+    assert arrivals == [ser + 100, 2 * ser + 100, 3 * ser + 100]
+    stats = link.stats_from(a)
+    assert (stats.packets_sent, stats.bytes_sent, stats.busy_ns) == (3, 3000, 3 * ser)
+    assert stats.queue_delay_total_ns == ser + 2 * ser
+    assert stats.queue_delay_max_ns == 2 * ser

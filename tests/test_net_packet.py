@@ -91,3 +91,35 @@ def test_addresses_are_value_types():
 def test_negative_partition_rejected():
     with pytest.raises(ValueError):
         MulticastGroup("f", -1)
+
+
+def test_clone_of_padded_runt_keeps_minimum_frame():
+    copy = _packet(wire=20, payload=10).clone()
+    assert copy.wire_bytes == MIN_FRAME_BYTES
+    assert copy.payload_bytes == 10
+
+
+def test_fanout_tree_trails_match_copy_on_clone_reference():
+    """12 hops with two 8-way fan-outs: clones share history yet every
+    leaf reads the trail a copy-the-list-on-clone packet would have."""
+    root = _packet()
+    frontier = [(root, [])]  # (packet, the trail a copied list would hold)
+    for hop in range(12):
+        if hop in (4, 8):
+            frontier = [
+                (packet.clone(), list(reference))
+                for packet, reference in frontier
+                for _ in range(8)
+            ]
+        for branch, (packet, reference) in enumerate(frontier):
+            where = f"switch.h{hop}.b{branch}"
+            packet.stamp(where, 100 * hop + branch)
+            reference.append((where, 100 * hop + branch))
+    assert len(frontier) == 64
+    for packet, reference in frontier:
+        assert packet.trail == reference
+        assert len(packet.trail) == 12
+        assert packet.first_stamp("switch.h0") == 0
+        assert packet.last_stamp("switch.h11") == reference[-1][1]
+    assert len({packet.packet_id for packet, _ in frontier}) == 64
+    assert len(root.trail) == 4  # the original stopped at the first fan-out

@@ -109,3 +109,55 @@ def test_locked_or_crossed_property():
     assert _update(bid=10_100, ask=10_000).locked_or_crossed
     assert not _update(bid=9_000, ask=10_000).locked_or_crossed
     assert not _update(bid=0, ask=10_000).locked_or_crossed
+
+
+# -- decode_batch's one-entry memo ------------------------------------------------
+
+
+def test_same_payload_decodes_to_equal_records_in_distinct_lists():
+    codec = ItfCodec("standard")
+    buf = codec.encode_batch([_update(), _update(symbol="MSFT")])
+    first = codec.decode_batch(buf)
+    second = codec.decode_batch(buf)
+    assert first == second
+    assert first is not second
+    first.clear()  # one receiver's list is its own
+    assert len(codec.decode_batch(buf)) == 2
+
+
+def test_memo_is_keyed_on_identity_not_content():
+    codec = ItfCodec("standard")
+    buf = codec.encode_batch([_update()])
+    twin = bytes(bytearray(buf))  # equal content, different object
+    assert twin == buf and twin is not buf
+    decodes = []
+    original = codec.decode
+    codec.decode = lambda *args: decodes.append(1) or original(*args)
+    assert codec.decode_batch(buf) == codec.decode_batch(buf) == codec.decode_batch(twin)
+    assert len(decodes) == 2  # buf once, twin once
+
+
+def test_compact_memo_respects_caller_context_and_symbol_table():
+    sender = ItfCodec("compact")
+    sender.intern("AAPL", 10_000)
+    buf = sender.encode_batch([_update()])
+    receiver = ItfCodec("compact")
+    receiver.intern("AAPL", 10_000)
+    (at_1,) = receiver.decode_batch(buf, exchange_id=1, source_time_ns=5)
+    (at_2,) = receiver.decode_batch(buf, exchange_id=2, source_time_ns=9)
+    assert (at_1.exchange_id, at_1.source_time_ns) == (1, 5)
+    assert (at_2.exchange_id, at_2.source_time_ns) == (2, 9)
+    # A codec with another symbol table never sees this one's memo.
+    other = ItfCodec("compact")
+    other.intern("MSFT", 10_000)
+    assert other.decode_batch(buf, 1, 5)[0].symbol == "MSFT"
+    with pytest.raises(ItfDecodeError):
+        ItfCodec("compact").decode_batch(buf, 1, 5)
+
+
+def test_ragged_buffer_raises_on_every_call():
+    codec = ItfCodec("standard")
+    ragged = b"\x00" * (STANDARD_RECORD_BYTES + 1)
+    for _ in range(2):
+        with pytest.raises(ItfDecodeError):
+            codec.decode_batch(ragged)

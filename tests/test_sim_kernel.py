@@ -120,7 +120,7 @@ def test_scheduling_in_the_past_raises():
     sim.run()
     with pytest.raises(SimulationError):
         sim.schedule_at(50, lambda: None)
-    with pytest.raises(SimulationError):
+    with pytest.raises(SimulationError, match=r"cannot schedule at t=90 \(now is t=100\)"):
         sim.schedule_after(-10, lambda: None)
 
 

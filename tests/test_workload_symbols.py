@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.workload.symbols import Symbol, SymbolUniverse, make_universe
 
@@ -75,3 +76,42 @@ def test_validation():
         Symbol("AA", "bond", 100, 1.0)
     with pytest.raises(ValueError):
         Symbol("AA", "equity", 0, 1.0)
+
+
+# -- sample() vs Generator.choice: the draws the golden digests rest on ------
+
+
+def _assert_draws_match_choice(universe, seed, n, calls):
+    """sample(rng, n) == rng.choice(len, size=n, p=probs), index for index,
+    from twin generators — and both end in the same state."""
+    weights = np.array([s.activity_weight for s in universe.symbols], dtype=float)
+    probs = weights / weights.sum()
+    ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(calls):
+        drawn = universe.sample(ours, n)
+        expected = numpys.choice(len(universe), size=n, p=probs)
+        assert drawn == [universe.symbols[i] for i in expected]
+    assert ours.random() == numpys.random()
+
+
+@pytest.mark.parametrize("n", [1, 7])
+def test_sample_reproduces_generator_choice(n):
+    """The precomputed CDF must stay what NumPy's choice(p=...) builds per
+    call; a NumPy release that changes choice fails here, not in a digest."""
+    universe = make_universe(24, seed=3)
+    _assert_draws_match_choice(universe, seed=11, n=n, calls=10_000 // n + 1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    weights=st.lists(
+        st.floats(min_value=1e-6, max_value=1e6, allow_nan=False), min_size=1, max_size=40
+    ),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.sampled_from([1, 7]),
+)
+def test_sample_reproduces_generator_choice_for_any_weights(weights, seed, n):
+    universe = SymbolUniverse(
+        [Symbol(f"S{i}", "equity", 10_000, w) for i, w in enumerate(weights)]
+    )
+    _assert_draws_match_choice(universe, seed, n, calls=30)
