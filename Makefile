@@ -1,10 +1,10 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: verify lint lint-changed test bench scoreboard report sweep-smoke \
+.PHONY: verify lint test bench scoreboard report sweep-smoke \
 	trace-smoke scenario-smoke perf-smoke
 
-# The one gate: repro lint --changed + ruff (when installed) + tier-1
+# The one gate: repro lint + ruff (when installed) + tier-1
 # pytest (which includes the full-tree lint gate) + the sweep, scenario,
 # trace and perf smokes.
 verify:
@@ -34,11 +34,6 @@ perf-smoke:
 
 lint:
 	$(PYTHON) -m repro lint
-
-# Findings scoped to git-dirty files; the whole tree is still analyzed
-# so cross-file hot-path violations stay visible.
-lint-changed:
-	$(PYTHON) -m repro lint --changed
 
 test:
 	$(PYTHON) -m pytest -x -q

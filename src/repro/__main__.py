@@ -271,12 +271,8 @@ def _cmd_verify(args) -> int:
     src = str(Path(__file__).resolve().parents[1])  # the src/ directory
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
 
-    # Lint runs --changed here for fast feedback scoped to the files git
-    # says are dirty (the whole tree is still analyzed, so cross-file hot
-    # paths are visible). Full-tree cleanliness is enforced anyway by the
-    # tier-1 pytest step via tests/test_lint_gate.py.
     steps: list[tuple[str, list[str]]] = [
-        ("repro lint --changed", [sys.executable, "-m", "repro", "lint", "--changed"]),
+        ("repro lint", [sys.executable, "-m", "repro", "lint"]),
     ]
     if shutil.which("ruff"):
         steps.append(("ruff", ["ruff", "check", "src", "tests", "benchmarks"]))

@@ -64,10 +64,6 @@ class PathBudget:
     def category_ns(self, category: Category) -> float:
         return sum(i.total_ns for i in self.items if i.category is category)
 
-    def category_fraction(self, category: Category) -> float:
-        total = self.total_ns
-        return self.category_ns(category) / total if total else 0.0
-
     @property
     def network_ns(self) -> float:
         """Time in the network: switches plus wire."""

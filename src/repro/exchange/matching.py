@@ -87,9 +87,6 @@ class MatchingEngine:
     def book(self, symbol: str) -> OrderBook:
         return self._books[symbol]
 
-    def is_halted(self, symbol: str) -> bool:
-        return symbol in self._halted
-
     # lint: hot-ok(no-alloc-on-hot-path) — pooling is a ROADMAP item
     def set_halted(self, symbol: str, halted: bool, now_ns: int = 0) -> BookUpdate:
         """Halt or resume a symbol; publishes a TradingStatus message."""

@@ -17,7 +17,6 @@ Run it as ``python -m repro lint`` (the tier-1 test gate in
 See ``docs/lint.md`` for the rule catalogue and how to add a rule.
 """
 
-from repro.lint.baseline import filter_baselined, load_baseline, write_baseline
 from repro.lint.callgraph import ProjectAnalysis, analyze_modules, render_graph
 from repro.lint.engine import Module, load_module, load_modules, run_lint, run_rules
 from repro.lint.findings import (
@@ -39,11 +38,9 @@ __all__ = [
     "all_rules",
     "analyze_modules",
     "build_symbol_table",
-    "filter_baselined",
     "findings_to_github",
     "findings_to_json",
     "get_rules",
-    "load_baseline",
     "load_module",
     "load_modules",
     "register_rule",
@@ -52,5 +49,4 @@ __all__ = [
     "run_lint",
     "run_rules",
     "split_suppressed",
-    "write_baseline",
 ]

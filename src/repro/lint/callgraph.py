@@ -39,7 +39,7 @@ from repro.lint.symbols import (
 
 # Scheduling entry points: attribute name -> positional index of the
 # callback argument (after the time/delay argument).
-_SCHEDULER_CALLBACK_ARG = {
+SCHEDULER_CALLBACK_ARG = {
     "schedule_at": 1,
     "schedule_after": 1,
     "call_at": 1,
@@ -303,21 +303,14 @@ class _Resolver:
         return "unknown", label
 
 
-def make_resolver(symbols: SymbolTable, info: FunctionInfo) -> "_Resolver":
-    """A call-expression resolver for one function, for analyses built on
-    top of the graph (the unit-flow layer resolves call-site arguments
-    against callee parameters with this)."""
-    return _Resolver(symbols, info)
-
-
 def _callback_expr(call: ast.Call) -> ast.expr | None:
     """The callback argument of a scheduling/registration call, if any."""
     func = call.func
     if not isinstance(func, ast.Attribute):
         return None
     attr = func.attr
-    if attr in _SCHEDULER_CALLBACK_ARG:
-        index = _SCHEDULER_CALLBACK_ARG[attr]
+    if attr in SCHEDULER_CALLBACK_ARG:
+        index = SCHEDULER_CALLBACK_ARG[attr]
         if len(call.args) > index:
             return call.args[index]
         for keyword in call.keywords:

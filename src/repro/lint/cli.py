@@ -1,25 +1,17 @@
 """The ``python -m repro lint`` subcommand.
 
-Exit status: 0 when no active (non-baselined, non-suppressed) findings,
-1 when new findings exist, 2 on usage errors (unknown rule ids, bad
-baseline file). Suppressed findings — ``# lint: hot-ok(<rule>)`` debt —
-are reported and counted but never fail the run.
-
-``--changed`` scopes the *report* to files touched per git (diff against
-HEAD plus untracked files) while still analyzing the whole tree, because
-hot-path reachability is a whole-program property: an edit to a helper
-can create a violation in an unchanged file, and a partial scan would
-miss call edges. ``--graph`` dumps the call graph / hot set.
+Exit status: 0 when no active (non-suppressed) findings, 1 when any
+exist, 2 on usage errors (unknown rule ids). Suppressed findings —
+``# lint: hot-ok(<rule>)`` debt — are reported and counted but never
+fail the run. ``--graph`` dumps the call graph / hot set.
 """
 
 from __future__ import annotations
 
 import argparse
-import subprocess
 import sys
 from pathlib import Path
 
-from repro.lint.baseline import filter_baselined, load_baseline, write_baseline
 from repro.lint.callgraph import analyze_modules, render_graph
 from repro.lint.engine import default_root, load_modules, run_rules_with_stats
 from repro.lint.findings import (
@@ -53,15 +45,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         help="comma-separated rule ids to run (default: all)",
     )
     parser.add_argument(
-        "--baseline",
-        help="baseline file of grandfathered findings; only new ones fail",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="write the current findings as a baseline file and exit 0",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true", help="list rule ids and exit"
     )
     parser.add_argument(
@@ -74,12 +57,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="print per-rule wall time and finding counts to stderr "
         "(ordering is deterministic; the times are not)",
-    )
-    parser.add_argument(
-        "--changed",
-        action="store_true",
-        help="report only findings in git-changed files (the whole tree is "
-        "still analyzed so cross-file hot paths stay visible)",
     )
 
 
@@ -96,32 +73,6 @@ def _resolve_scan(args) -> tuple[Path, list[Path] | None]:
     return default_root(), None
 
 
-def _git_changed_files(root: Path) -> set[Path] | None:
-    """Absolute paths of files changed vs HEAD (tracked) or untracked.
-
-    Returns None when git is unavailable or ``root`` is outside a work
-    tree, so the caller can fall back to a full report.
-    """
-
-    def _lines(*argv: str) -> list[str]:
-        out = subprocess.run(
-            ["git", "-C", str(root), *argv],
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
-        return [line for line in out.splitlines() if line.strip()]
-
-    try:
-        toplevel = Path(_lines("rev-parse", "--show-toplevel")[0])
-        names = _lines("diff", "--name-only", "HEAD") + _lines(
-            "ls-files", "--others", "--exclude-standard"
-        )
-    except (OSError, subprocess.CalledProcessError, IndexError):
-        return None
-    return {(toplevel / name).resolve() for name in names}
-
-
 def run(args) -> int:
     if args.list_rules:
         for rule in all_rules():
@@ -129,7 +80,8 @@ def run(args) -> int:
         return 0
 
     try:
-        rules = get_rules(args.rules.split(",") if args.rules else None)
+        wanted = [r.strip() for r in (args.rules or "").split(",") if r.strip()]
+        rules = get_rules(wanted or None)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -159,33 +111,6 @@ def run(args) -> int:
             file=sys.stderr,
         )
 
-    if args.changed:
-        changed = _git_changed_files(root)
-        if changed is None:
-            print(
-                "warning: --changed needs git; reporting the full tree",
-                file=sys.stderr,
-            )
-        else:
-            by_relpath = {m.relpath: m.path.resolve() for m in modules}
-            findings = [
-                f for f in findings if by_relpath.get(f.path) in changed
-            ]
-
-    if args.write_baseline:
-        path = write_baseline(findings, args.write_baseline)
-        print(f"wrote baseline with {len(findings)} finding(s) to {path}")
-        return 0
-
-    grandfathered: list = []
-    if args.baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        findings, grandfathered = filter_baselined(findings, baseline)
-
     active, suppressed = split_suppressed(findings)
 
     if args.format == "json":
@@ -204,12 +129,9 @@ def run(args) -> int:
         print(f"\n{len(active)} {noun}{suffix}", file=sys.stderr)
         return 1
     if args.format == "human":
-        notes = []
-        if suppressed:
-            notes.append(f"{len(suppressed)} suppressed as hot-ok debt")
-        if grandfathered:
-            notes.append(f"{len(grandfathered)} grandfathered by baseline")
-        suffix = f" ({', '.join(notes)})" if notes else ""
+        suffix = (
+            f" ({len(suppressed)} suppressed as hot-ok debt)" if suppressed else ""
+        )
         print(f"clean: {len(all_rules())} rules, 0 findings{suffix}")
     return 0
 

@@ -28,6 +28,9 @@ class Module:
     name: str  # dotted module name ("repro.net.switch")
     tree: ast.Module = field(repr=False)
     source: str = field(repr=False)
+    # Set when the file did not parse; ``tree`` is then empty, so every
+    # rule sees nothing in it and the rest of the tree still lints.
+    parse_error: Finding | None = None
 
     @property
     def is_package_init(self) -> bool:
@@ -65,13 +68,24 @@ def module_name_for(path: Path, root: Path) -> str:
 
 
 def load_module(path: Path, root: Path) -> Module:
-    source = path.read_text(encoding="utf-8")
+    relpath = _rel_to_root(path, root).as_posix()
+    source, tree, parse_error = "", ast.Module(body=[], type_ignores=[]), None
+    try:
+        source = path.read_text(encoding="utf-8")
+        tree = ast.parse(source, filename=str(path))
+    except SyntaxError as exc:
+        parse_error = Finding(
+            relpath, exc.lineno or 1, "parse-error", f"cannot parse: {exc.msg}"
+        )
+    except UnicodeDecodeError as exc:
+        parse_error = Finding(relpath, 1, "parse-error", f"cannot parse: {exc}")
     return Module(
         path=path,
-        relpath=_rel_to_root(path, root).as_posix(),
+        relpath=relpath,
         name=module_name_for(path, root),
-        tree=ast.parse(source, filename=str(path)),
+        tree=tree,
         source=source,
+        parse_error=parse_error,
     )
 
 
@@ -133,7 +147,9 @@ def run_rules_with_stats(
     modules = list(modules)
     per_module = [r for r in rules if not r.requires_project]
     project_rules = [r for r in rules if r.requires_project]
-    findings: list[Finding] = []
+    # parse-error is the engine's own finding, not a registered rule:
+    # ``--rules`` cannot deselect it.
+    findings = [m.parse_error for m in modules if m.parse_error is not None]
     stats: list[RuleStat] = []
 
     def timed(rule_id: str, produce) -> None:

@@ -2,10 +2,7 @@
 
 A finding pins a rule to a file position and carries a human-readable
 message. Findings sort by (path, line, rule) so reports are stable
-across runs, and expose a :meth:`Finding.baseline_key` that is
-deliberately *line-insensitive*: grandfathered findings stay suppressed
-as unrelated edits shift line numbers, but any new violation — even an
-identical message in a different file — surfaces immediately.
+across runs.
 """
 
 from __future__ import annotations
@@ -29,10 +26,6 @@ class Finding:
     rule_id: str
     message: str
     suppressed: bool = False
-
-    def baseline_key(self) -> str:
-        """Identity used for baseline matching (no line number)."""
-        return f"{self.rule_id}::{self.path}::{self.message}"
 
     def render(self) -> str:
         note = " (suppressed: hot-ok)" if self.suppressed else ""

@@ -15,7 +15,6 @@ from repro.lint.rules import (  # noqa: F401  (imports register the rules)
     instrument_names,
     layering,
     units,
-    unitflow,
 )
 
 __all__ = [
@@ -26,5 +25,4 @@ __all__ = [
     "instrument_names",
     "layering",
     "units",
-    "unitflow",
 ]

@@ -5,9 +5,11 @@ paper's budgets (500 ns hops, ~100 ns/event) leave no room for a
 misread µs/ms value. The ``unit-suffix`` rule makes the convention
 mechanical: a name that holds a duration either ends in ``_ns`` or is a
 parameter of an allowlisted conversion helper (``ms_to_ns`` and
-friends, in :mod:`repro.sim.kernel`). The ``no-float-time-equality``
-rule catches the classic companion bug: comparing times with ``==``
-after a float division has destroyed integer exactness.
+friends, in :mod:`repro.sim.kernel`). ``raw-duration-literal`` keeps
+magic-number durations out of the scheduler and ``*_ns=`` call sites.
+The ``no-float-time-equality`` rule catches the classic companion bug:
+comparing times with ``==`` after a float division has destroyed
+integer exactness.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from repro.lint.callgraph import SCHEDULER_CALLBACK_ARG
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule, register_rule
 
@@ -80,6 +83,47 @@ class UnitSuffix(Rule):
                             keyword.value,
                             f"keyword argument {keyword.arg!r}: {_SUGGESTION}",
                         )
+
+
+# 1_000 reads as "maybe µs, maybe a count"; literals under 1 µs are
+# self-evidently ns and stay allowed.
+_RAW_LITERAL_THRESHOLD_NS = 1_000
+
+
+@register_rule
+class RawDurationLiteral(Rule):
+    """No magic-number durations at nanosecond call sites: a bare
+    ``5_000_000`` as the time argument of a scheduler call, or as a
+    ``*_ns=`` keyword value, could be a mistyped µs or ms value."""
+
+    rule_id = "raw-duration-literal"
+    description = (
+        "integer literals >= 1000 as a schedule_*/call_* time or *_ns= value "
+        "must use ms_to_ns()/us_to_ns()/s_to_ns() or a kernel constant"
+    )
+
+    def check(self, module) -> Iterator[Finding]:
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            sites = [
+                (k.arg, k.value)
+                for k in node.keywords
+                if k.arg is not None and k.arg.endswith("_ns")
+            ]
+            attr = getattr(node.func, "attr", None)  # None: a plain-name call
+            if attr in SCHEDULER_CALLBACK_ARG and node.args:
+                sites.append((attr, node.args[0]))  # the time comes first
+            for where, arg in sites:
+                value = arg.value if isinstance(arg, ast.Constant) else None
+                if type(value) is int and value >= _RAW_LITERAL_THRESHOLD_NS:
+                    yield self.finding(
+                        module,
+                        arg,
+                        f"raw duration literal {value:,} at {where}; use "
+                        f"us_to_ns()/ms_to_ns()/s_to_ns() or a kernel constant "
+                        f"(MICROSECOND, MILLISECOND, SECOND)",
+                    )
 
 
 _TIME_SUFFIXES = ("_ns", "_us", "_ms", "_time", "_timestamp")

@@ -91,7 +91,6 @@ class ClassInfo:
     fqname: str  # "repro.net.nic.Nic"
     module: str
     name: str
-    lineno: int
     base_names: tuple[str, ...]  # source-level dotted base expressions
     methods: dict[str, FunctionInfo] = field(default_factory=dict)
     # self.<attr> -> class fqname, inferred from annotations and typed
@@ -320,7 +319,6 @@ class SymbolTable:
             fqname=fqname,
             module=module.name,
             name=node.name,
-            lineno=node.lineno,
             base_names=bases,
         )
         self.classes[fqname] = cls

@@ -101,7 +101,3 @@ class Cage:
     @property
     def total_servers(self) -> int:
         return sum(len(r.servers) for r in self.racks.values())
-
-    @property
-    def total_free_units(self) -> int:
-        return sum(r.free_units for r in self.racks.values())

@@ -75,9 +75,6 @@ class Layer1Switch(Component):
             self.attach_link(link)
         self._fanout[id(ingress)] = list(egress)
 
-    def fanout_of(self, ingress: Link) -> list[Link]:
-        return list(self._fanout.get(id(ingress), ()))
-
     # lint: hot-ok(no-alloc-on-hot-path) — pooling is a ROADMAP item
     def handle_packet(self, packet: Packet, ingress: Link) -> None:
         self.stats.packets_in += 1

@@ -57,10 +57,6 @@ class _Outstanding:
     timer: list | None = None
 
 
-class ChannelBroken(RuntimeError):
-    """Raised into the failure callback when retries are exhausted."""
-
-
 class ReliableChannel(Component):
     """One endpoint of a reliable message connection.
 

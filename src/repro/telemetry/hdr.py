@@ -83,10 +83,6 @@ class LogLinearHistogram:
         """Guaranteed bound on ``|percentile - oracle| / oracle``."""
         return 2.0 ** -self.sub_bucket_bits
 
-    @property
-    def n_buckets(self) -> int:
-        return len(self._counts)
-
     # -- recording ----------------------------------------------------------
 
     def record(self, value: int, n: int = 1) -> None:

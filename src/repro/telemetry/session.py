@@ -74,10 +74,6 @@ class TelemetrySession:
         # helpers self-time so observability's own cost is attributed.
         self.profiler = None
 
-    @property
-    def enabled(self) -> bool:
-        return True
-
     # -- instruments + series, updated together ----------------------------
 
     def count(self, name: str, now: int, amount: int = 1) -> None:
@@ -212,24 +208,6 @@ class TelemetrySession:
     def span_histograms(self) -> dict[tuple[str, str], Histogram]:
         """Per-(where, kind) span latency histograms, a snapshot copy."""
         return dict(self._span_hists)
-
-    # -- component-stats harvest ------------------------------------------------
-
-    def harvest_stats(self, name: str, stats: object) -> None:
-        """Merge a component's dataclass-style stats into the registry.
-
-        Every public integer attribute becomes a counter named
-        ``<name>.<field>``; called at end of run so the JSON export
-        carries the same counters the in-object stats expose.
-        """
-        for field in vars(stats):
-            if field.startswith("_"):
-                continue
-            value = getattr(stats, field)
-            if isinstance(value, bool) or not isinstance(value, int):
-                continue
-            counter = self.metrics.counter(f"{name}.{field}")
-            counter.value = value
 
     def to_dict(self) -> dict:
         return {

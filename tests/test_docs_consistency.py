@@ -2,8 +2,8 @@
 
 Documentation rot is a release-killer; these checks pin the load-bearing
 references (bench targets in DESIGN.md, example scripts in README.md,
-layout listing, every spelled CLI subcommand and make target) to the
-actual tree.
+layout listing, every spelled CLI subcommand, option and make target,
+the lint rule catalogue) to the actual tree.
 """
 
 import re
@@ -37,6 +37,48 @@ def test_every_spelled_cli_command_and_make_target_exists(capsys):
                 assert command in commands, f"{path.name}: no `repro {command}`"
         for target in re.findall(r"(?:`|^)make ([a-z][\w-]*)", text, re.M):
             assert target in targets, f"{path.name}: no `make {target}`"
+
+
+def test_every_spelled_cli_flag_exists_on_its_subcommand(capsys):
+    """A ``--flag`` on the same line as ``python -m repro <cmd>`` /
+    `` `repro <cmd>` `` (after it, up to the next spelled command) must
+    be an option of that subparser, so a retired option cannot outlive
+    its removal in the prose."""
+    import repro.__main__ as cli
+
+    options: dict[str, set[str]] = {}
+
+    def options_of(command: str) -> set[str]:
+        if command not in options:
+            with pytest.raises(SystemExit):
+                cli.main([command, "--help"])
+            options[command] = set(
+                re.findall(r"--[a-z][\w-]*", capsys.readouterr().out)
+            )
+        return options[command]
+
+    checked = 0
+    for path in PROSE:
+        for line in path.read_text(encoding="utf-8").splitlines():
+            # [lead, cmd, tail, cmd, tail, ...]; `a|b|c` spellings carry no flags.
+            parts = re.split(r"(?:python -m |`)repro ([a-z0-9]+)\b(?!\|)", line)
+            for command, tail in zip(parts[1::2], parts[2::2]):
+                for flag in re.findall(r"(?<![\w-])--[a-z][\w-]*", tail):
+                    checked += 1
+                    assert flag in options_of(command), (
+                        f"{path.name}: `repro {command}` has no {flag}"
+                    )
+    assert checked >= 20  # guard against the scan silently matching nothing
+
+
+def test_lint_md_rule_tables_match_the_registry():
+    """Every registered rule has a row in docs/lint.md's rule tables and
+    every row names a registered rule."""
+    from repro.lint import all_rules
+
+    text = (REPO / "docs" / "lint.md").read_text(encoding="utf-8")
+    documented = set(re.findall(r"^\| `([a-z][a-z-]*)` \|", text, re.M))
+    assert documented == {rule.rule_id for rule in all_rules()}
 
 
 def test_cli_docstring_command_table_matches_parser(capsys):

@@ -4,8 +4,17 @@ stays quiet on its good twin (``tests/lint_fixtures/``)."""
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.lint import all_rules, run_lint
+from repro.lint import all_rules, get_rules, run_lint
+from repro.sim.kernel import (
+    MICROSECOND,
+    MILLISECOND,
+    SECOND,
+    ms_to_ns,
+    s_to_ns,
+    us_to_ns,
+)
 
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
 
@@ -68,6 +77,26 @@ def test_conversion_helpers_are_allowlisted():
     assert not run_lint(root=src, paths=[kernel], rule_ids=["unit-suffix"])
 
 
+def test_raw_duration_literal_is_syntactic_and_per_module(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "def arm(sim, fire, configure):\n"
+        "    sim.schedule_at(2_000_000, fire)\n"
+        "    sim.call_after(5_000, fire)\n"
+        "    configure(coalesce_window_ns=1_000)\n"
+        "    sim.schedule_after(999, fire)\n"
+        "    sim.call_at(MICROSECOND, fire)\n"
+        "    sim.schedule_after(ms_to_ns(5), fire)\n"
+        "    configure(retries=5_000, window_ns=True)\n"
+    )
+    findings = run_lint(root=tmp_path, rule_ids=["raw-duration-literal"])
+    assert [f.line for f in findings] == [2, 3, 4]
+    assert "2,000,000 at schedule_at" in findings[0].message
+    assert "1,000 at coalesce_window_ns" in findings[2].message
+    # A per-module rule: selecting it alone never builds the call graph.
+    (rule,) = get_rules(["raw-duration-literal"])
+    assert rule.requires_project is False
+
+
 def test_selecting_unknown_rule_raises():
     with pytest.raises(ValueError, match="unknown rule ids"):
         run_lint(root=FIXTURES, rule_ids=["no-such-rule"])
@@ -84,3 +113,31 @@ def test_private_import_resolves_relative_imports(tmp_path):
     findings = run_lint(root=tmp_path, rule_ids=["no-cross-module-private-import"])
     assert len(findings) == 1
     assert "_secret" in findings[0].message
+
+
+# -- the conversion helpers the unit rules point authors at (hypothesis) -----
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+def test_integer_conversions_are_exact_scalings(value):
+    assert us_to_ns(value) == value * MICROSECOND
+    assert ms_to_ns(value) == value * MILLISECOND
+    assert s_to_ns(value) == value * SECOND
+
+
+@given(
+    st.floats(
+        min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False
+    )
+)
+def test_float_conversions_round_trip_within_half_a_unit(value):
+    for convert, scale in (
+        (us_to_ns, MICROSECOND),
+        (ms_to_ns, MILLISECOND),
+        (s_to_ns, SECOND),
+    ):
+        ns = convert(value)
+        assert isinstance(ns, int)
+        # Round-trip back to the source unit: off by at most half an
+        # output quantum (the int() rounding), never by a unit factor.
+        assert ns / scale == pytest.approx(value, abs=0.5 / scale + 1e-9)
