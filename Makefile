@@ -1,12 +1,12 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: verify lint test bench scoreboard report sweep-smoke \
+.PHONY: verify lint test bench bench-collect scoreboard report sweep-smoke \
 	trace-smoke scenario-smoke perf-smoke
 
 # The one gate: repro lint + ruff (when installed) + tier-1
-# pytest (which includes the full-tree lint gate) + the sweep, scenario,
-# trace and perf smokes.
+# pytest (which includes the full-tree lint gate) + the E-series
+# collect-only import check + the sweep, scenario, trace and perf smokes.
 verify:
 	$(PYTHON) -m repro verify
 
@@ -42,6 +42,12 @@ test:
 # simulated metrics (see perf/README.md; ~95 s).
 bench:
 	$(PYTHON) perf/run.py
+
+# Import every E-series file without running it (~1.5 s): benchmarks/
+# is outside tier-1, so this is what notices a deleted public name (also
+# chained into verify and its own CI step).
+bench-collect:
+	$(PYTHON) -m pytest benchmarks --collect-only -q
 
 # The full pytest-benchmark reproduction scoreboard (the E-series).
 scoreboard:

@@ -145,18 +145,14 @@ def build_report(
     """Run ``spec`` (telemetry + profiler on) and assemble the report.
 
     Keyword overrides are applied to the spec as in
-    :func:`~repro.core.api.build_system`; telemetry is always forced on.
+    :func:`~repro.core.api.build_system`; telemetry is always forced on
+    (:func:`~repro.core.run.telemetry_spec`, which rejects designs that
+    pin it off).
     ``merge_feeds`` sizes the companion §4.3 merge-bottleneck run.
     """
-    from repro.core.run import execute_spec, roundtrip_summary
+    from repro.core.run import execute_spec, roundtrip_summary, telemetry_spec
 
-    if spec is None:
-        spec = SystemSpec(**{**overrides, "telemetry": True})
-    else:
-        from dataclasses import replace
-
-        spec = replace(spec, **{**overrides, "telemetry": True})
-
+    spec = telemetry_spec(spec, **overrides)
     executed = execute_spec(spec, profile=True)
     system = executed.system
     sim = system.sim
@@ -271,15 +267,9 @@ def build_tail_report(spec: SystemSpec | None = None, **overrides) -> TailReport
     summed per (where, kind) and the largest total wins — "which hop
     owns the p99.9 round trip".
     """
-    from repro.core.run import execute_spec
+    from repro.core.run import execute_spec, telemetry_spec
 
-    if spec is None:
-        spec = SystemSpec(**{**overrides, "telemetry": True})
-    else:
-        from dataclasses import replace
-
-        spec = replace(spec, **{**overrides, "telemetry": True})
-
+    spec = telemetry_spec(spec, **overrides)
     executed = execute_spec(spec)
     telemetry = executed.system.sim.telemetry
     notes: list[str] = []

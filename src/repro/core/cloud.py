@@ -71,7 +71,7 @@ class CloudFabric(Component):
         self.stats = CloudStats()
         self._links: dict[EndpointAddress, Link] = {}
         self._members: dict[MulticastGroup, list[EndpointAddress]] = {}
-        # Precomputed stamp/trace name: the datapath must not build it.
+        # Precomputed trace-point name: the datapath must not build it.
         self._trace_point = f"cloud.{name}"
 
     # -- provisioning ------------------------------------------------------------
@@ -130,7 +130,6 @@ class CloudFabric(Component):
             self.stats.unroutable += 1
             return
         self.stats.delivered += 1
-        packet.stamp(self._trace_point, self.now)
         if packet.trace is not None:
             packet.trace.record(self._trace_point, "cloud", self.now)
         link.send(packet, self)

@@ -304,6 +304,28 @@ def summarize_run(executed: ExecutedRun) -> RunResult:
     )
 
 
+def telemetry_spec(spec: SystemSpec | None = None, **overrides) -> SystemSpec:
+    """``spec`` (or a fresh one) with ``overrides`` applied and telemetry on.
+
+    What every telemetry-reading entry point (``repro trace``, ``report``,
+    ``report --tail``) runs. A design whose :data:`~repro.core.fabrics.
+    FABRICS` entry pins telemetry off has no traces or span histograms to
+    read, so it is rejected here, before anything is built, with a
+    ``ValueError`` the CLI prints as its one-line exit-2 message.
+    """
+    from repro.core.fabrics import FABRICS
+
+    overrides["telemetry"] = True
+    spec = SystemSpec(**overrides) if spec is None else replace(spec, **overrides)
+    if FABRICS[spec.design][1].get("telemetry") is False:
+        raise ValueError(
+            f"design {spec.design!r} pins telemetry off, so there is nothing "
+            f"to trace or report; use `repro run --design {spec.design}` for "
+            "its round-trip stats"
+        )
+    return spec
+
+
 def run_spec(spec: SystemSpec | None = None, **overrides) -> RunResult:
     """Execute one run described by ``spec`` and return its summary.
 

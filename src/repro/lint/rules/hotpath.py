@@ -172,7 +172,7 @@ class NoLoggingOnHotPath(HotPathRule):
 # Instrument-name-bearing calls, keyed by attribute with an optional
 # receiver filter (None = any receiver) — the same shape the
 # instrument-name-style rule uses, extended with the hot-path name
-# consumers: packet stamps, trace records, and rng stream lookups.
+# consumers: trace records and rng stream lookups.
 _NAME_BEARING_ATTRS: dict[str, frozenset | None] = {
     "counter": None,
     "gauge": None,
@@ -182,7 +182,6 @@ _NAME_BEARING_ATTRS: dict[str, frozenset | None] = {
     "gauge_add": frozenset({"telemetry"}),
     "record_count": frozenset({"series", "recorder"}),
     "record_sample": frozenset({"series", "recorder"}),
-    "stamp": None,
     "record": frozenset({"trace"}),
     "stream": frozenset({"rng"}),
 }
@@ -214,7 +213,7 @@ class NoStringBuildOnHotPath(HotPathRule):
 
     rule_id = "no-string-build-on-hot-path"
     description = (
-        "instrument/stamp/stream names on the hot path must be "
+        "instrument/trace-point/stream names on the hot path must be "
         "precomputed, not built per call (f-string/%/+)"
     )
 

@@ -88,7 +88,7 @@ class FilteringL1Switch(Component):
         self._table: dict[MulticastGroup, _GroupEntry] = {}
         self.links: list[Link] = []
         self.stats = FpgaStats()
-        # Precomputed stamp/trace name: the datapath must not build it.
+        # Precomputed trace-point name: the datapath must not build it.
         self._trace_point = f"fpga.{name}"
 
     # -- configuration ---------------------------------------------------------
@@ -186,7 +186,6 @@ class FilteringL1Switch(Component):
 
     def _send_copy(self, packet: Packet, link: Link) -> None:
         copy = packet.clone()
-        copy.stamp(self._trace_point, self.now)
         if copy.trace is not None:
             copy.trace.record(self._trace_point, "fpga", self.now)
         self.stats.copies_out += 1

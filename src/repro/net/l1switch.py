@@ -54,7 +54,7 @@ class Layer1Switch(Component):
         self._fanout: dict[int, list[Link]] = {}
         self.links: list[Link] = []
         self.stats = L1Stats()
-        # Precomputed stamp/trace name: the datapath must not build it.
+        # Precomputed trace-point name: the datapath must not build it.
         self._trace_point = f"l1s.{name}"
 
     def attach_link(self, link: Link) -> None:
@@ -91,7 +91,6 @@ class Layer1Switch(Component):
     def _emit_all(self, packet: Packet, egress: list[Link]) -> None:
         for link in egress:
             copy = packet.clone() if len(egress) > 1 else packet
-            copy.stamp(self._trace_point, self.now)
             if copy.trace is not None:
                 copy.trace.record(self._trace_point, "l1s", self.now)
             self.stats.copies_out += 1
@@ -121,7 +120,7 @@ class MergeUnit(Component):
         self.output: Link | None = None
         self.inputs: list[Link] = []
         self.stats = L1Stats()
-        # Precomputed instrument/stamp names for the per-frame path.
+        # Precomputed instrument/trace-point names for the per-frame path.
         self._backlog_series = f"merge.{name}.backlog_bytes"
         self._contention_series = f"merge.{name}.contention_bytes"
         self._merge_stamp = f"merge.{name}"
@@ -164,7 +163,6 @@ class MergeUnit(Component):
     def _emit_reverse(self, packet: Packet) -> None:
         for link in self.inputs:
             copy = packet.clone() if len(self.inputs) > 1 else packet
-            copy.stamp(self._reverse_stamp, self.now)
             if copy.trace is not None:
                 copy.trace.record(self._reverse_stamp, "merge", self.now)
             if not link.send(copy, self):
@@ -172,7 +170,6 @@ class MergeUnit(Component):
 
     def _emit(self, packet: Packet) -> None:
         assert self.output is not None
-        packet.stamp(self._merge_stamp, self.now)
         if packet.trace is not None:
             packet.trace.record(self._merge_stamp, "merge", self.now)
         self.stats.copies_out += 1

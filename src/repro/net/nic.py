@@ -3,8 +3,9 @@
 Figure 1(d) of the paper shows the server layout trading firms use:
 separate NICs for management, market data, and orders, and dedicated cores
 per function. :class:`Nic` models one interface — hardware receive/transmit
-latency, multicast group filtering, and timestamping on receive (trading
-NICs timestamp in hardware). :class:`HostStack` models the software side:
+latency, multicast group filtering, and — on traced packets — a hardware
+receive timestamp (trading NICs timestamp in hardware), recorded as the
+``nic.rx.<name>`` trace event. :class:`HostStack` models the software side:
 a per-message processing delay standing in for the application work done
 on a dedicated core, defaulting to the paper's "<1 µs per software hop".
 """
@@ -42,8 +43,9 @@ class Nic(Component):
     """One network interface on a host.
 
     The NIC filters multicast frames for groups the host has not joined
-    (the hardware MAC filter), stamps hardware receive timestamps onto the
-    packet trail, and delivers to the bound handler after ``rx_latency_ns``.
+    (the hardware MAC filter), records the hardware receive time on the
+    packet's trace context (when it carries one), and delivers to the
+    bound handler after ``rx_latency_ns``.
     """
 
     def __init__(
@@ -78,7 +80,6 @@ class Nic(Component):
         self._chaos_rng = None
         self._chaos_stream_name = f"chaos.nic.{name}"
         self._rx_stamp = f"nic.rx.{name}"
-        self._tx_stamp = f"nic.tx.{name}"
         self._trace_point = f"nic.{name}"
 
     # -- wiring ------------------------------------------------------------
@@ -134,7 +135,6 @@ class Nic(Component):
                 if telemetry is not None:
                     telemetry.count(self._chaos_drops_series, now)
                 return
-        packet.stamp(self._rx_stamp, now)
         if packet.trace is not None:
             packet.trace.record(self._rx_stamp, "wire", now)
         if telemetry is not None:
@@ -164,7 +164,6 @@ class Nic(Component):
             raise RuntimeError(f"NIC {self.name} is not attached to a link")
         sim = self.sim
         stats = self.stats
-        packet.stamp(self._tx_stamp, sim.now)
         stats.packets_sent += 1
         stats.bytes_sent += packet.wire_bytes
         sim.schedule_after(self.tx_latency_ns, self._transmit, (packet,))

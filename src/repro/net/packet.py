@@ -3,9 +3,11 @@
 A :class:`Packet` carries an application-level ``message`` (any object —
 usually a decoded PITCH/BOE message or a raw frame payload) plus the
 metadata the datapath models need: wire size, source/destination address,
-and a timestamp trail. The wire size is what drives serialization delay
-and queue occupancy; the timestamp trail is what taps and the latency
-accounting layer read.
+and an optional trace context. The wire size is what drives serialization
+delay and queue occupancy; the trace context
+(``repro.telemetry.TraceContext``) is the one record of which devices the
+packet passed and when — a packet in a run without telemetry carries no
+per-hop state at all.
 """
 
 from __future__ import annotations
@@ -34,12 +36,12 @@ class Packet:
     ``trace`` is the telemetry trace context
     (``repro.telemetry.TraceContext``) or ``None`` — always ``None`` when
     telemetry is disabled, so the per-device hooks cost one attribute
-    check on the hot path.
+    check on the hot path and a dark run records nothing per hop.
     """
 
     __slots__ = (
         "src", "dst", "wire_bytes", "payload_bytes", "message", "seqno",
-        "created_at", "packet_id", "trace", "_trail",
+        "created_at", "packet_id", "trace",
     )
 
     def __init__(
@@ -72,10 +74,6 @@ class Packet:
         self.created_at = created_at
         self.packet_id = next(_packet_ids)
         self.trace = trace
-        # Timestamp trail, newest first: a persistent list of
-        # (where, when_ns, older) cells. Cells are immutable, so fan-out
-        # copies share their common history instead of copying it.
-        self._trail: tuple | None = None
 
     @property
     def header_bytes(self) -> int:
@@ -87,39 +85,8 @@ class Packet:
         """Header overhead as a fraction of the frame. Paper: 25–40%."""
         return self.header_bytes / self.wire_bytes
 
-    def stamp(self, where: str, when: int) -> None:
-        """Append a trail entry; used by taps and latency accounting."""
-        self._trail = (where, when, self._trail)
-
-    @property
-    def trail(self) -> list[tuple[str, int]]:
-        """The ``(where, when_ns)`` pairs stamped by NICs, switches and
-        capture taps as the packet traversed them, oldest first."""
-        entries = []
-        cell = self._trail
-        while cell is not None:
-            where, when, cell = cell
-            entries.append((where, when))
-        entries.reverse()
-        return entries
-
-    def first_stamp(self, prefix: str) -> int | None:
-        """Earliest trail time whose location starts with ``prefix``."""
-        for where, when in self.trail:
-            if where.startswith(prefix):
-                return when
-        return None
-
-    def last_stamp(self, prefix: str) -> int | None:
-        """Latest trail time whose location starts with ``prefix``."""
-        found = None
-        for where, when in self.trail:
-            if where.startswith(prefix):
-                found = when
-        return found
-
     def clone(self) -> "Packet":
-        """Copy for multicast fan-out: fresh id, shared history, forked trace."""
+        """Copy for multicast fan-out: fresh id, forked trace."""
         copy = Packet.__new__(Packet)  # not __init__: the original was validated
         copy.src = self.src
         copy.dst = self.dst
@@ -131,7 +98,6 @@ class Packet:
         copy.packet_id = next(_packet_ids)
         trace = self.trace
         copy.trace = trace.fork() if trace is not None else None
-        copy._trail = self._trail
         return copy
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

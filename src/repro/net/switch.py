@@ -68,7 +68,6 @@ DECADE_AGO_GENERATION = SWITCH_GENERATIONS[0]
 class SwitchStats:
     packets_forwarded: int = 0
     blackholed: int = 0
-    copies_emitted: int = 0
     unicast_forwarded: int = 0
     multicast_forwarded: int = 0
     software_forwarded: int = 0
@@ -263,7 +262,6 @@ class CommoditySwitch(Component):
 
     def _emit(self, packet: Packet, egress: Link) -> None:
         now = self.sim.now
-        packet.stamp(self._trace_point, now)
         if packet.trace is not None:
             packet.trace.record(self._trace_point, "switch", now)
         if not egress.send(packet, self):

@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 
 from repro.sim.kernel import MICROSECOND
+from repro.telemetry.context import iter_spans
 from repro.telemetry.session import TelemetrySession
 
 
@@ -59,28 +60,14 @@ def build_chrome_trace(
     events: list[dict] = [_meta(1, "traces"), _meta(2, "series")]
     for trace in session.traces:
         events.append(_meta(1, f"trace {trace.trace_id}", tid=trace.trace_id))
-        prev = trace.begin_ns
-        for point in trace.events:
+        for where, kind, start_ns, duration_ns in iter_spans(trace):
             events.append(
                 {
-                    "name": f"{point.where} [{point.kind}]",
-                    "cat": point.kind,
+                    "name": f"{where} [{kind}]",
+                    "cat": kind,
                     "ph": "X",
-                    "ts": prev / MICROSECOND,
-                    "dur": (point.t - prev) / MICROSECOND,
-                    "pid": 1,
-                    "tid": trace.trace_id,
-                }
-            )
-            prev = point.t
-        if prev != trace.end_ns:
-            events.append(
-                {
-                    "name": "delivery [wire]",
-                    "cat": "wire",
-                    "ph": "X",
-                    "ts": prev / MICROSECOND,
-                    "dur": (trace.end_ns - prev) / MICROSECOND,
+                    "ts": start_ns / MICROSECOND,
+                    "dur": duration_ns / MICROSECOND,
                     "pid": 1,
                     "tid": trace.trace_id,
                 }

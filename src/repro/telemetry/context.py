@@ -4,10 +4,11 @@ A :class:`TraceContext` rides on one packet (and survives clones via
 :meth:`fork`). Devices append *point events* — "this packet passed
 ``where`` at time ``t``, and the time since the previous event belongs to
 category ``kind``". A finished context becomes an immutable
-:class:`Trace`, whose :meth:`Trace.spans` are the consecutive differences
-between events; their sum is exactly ``end_ns - begin_ns``, which is the
-same subtraction the exchange edge performs to produce a round-trip
-sample. Spans therefore sum to the measured round trip with no residual.
+:class:`Trace`, whose spans (:func:`iter_spans`, the one statement of the
+rule) are the consecutive differences between events; their sum is
+exactly ``end_ns - begin_ns``, which is the same subtraction the exchange
+edge performs to produce a round-trip sample. Spans therefore sum to the
+measured round trip with no residual.
 
 Kinds in use across the stack:
 
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 _trace_ids = itertools.count(1)
 
@@ -62,33 +64,33 @@ class TraceContext:
     timestamp — the same value echoed to the exchange as the client
     timestamp — so the final trace covers exactly the interval the
     round-trip sample measures.
+
+    Events are kept newest first as a persistent list of
+    ``(where, kind, t, older)`` cells. Cells are immutable, so a
+    :meth:`fork` shares its parent's history instead of copying it — a
+    multicast fan-out tree costs one cell per hop per branch, not one
+    list copy per clone — and only contexts that :meth:`finish` pay to
+    materialise :class:`TraceEvent` objects.
     """
 
-    __slots__ = ("trace_id", "parent_id", "begin_ns", "events", "done")
+    __slots__ = ("trace_id", "begin_ns", "_newest", "done")
 
-    def __init__(
-        self,
-        begin_ns: int,
-        events: list[TraceEvent] | None = None,
-        parent_id: int | None = None,
-    ):
+    def __init__(self, begin_ns: int):
         self.trace_id = next(_trace_ids)
-        self.parent_id = parent_id
         self.begin_ns = begin_ns
-        self.events: list[TraceEvent] = events if events is not None else []
+        self._newest: tuple | None = None
         self.done = False
 
-    # lint: hot-ok(no-alloc-on-hot-path) — pooling is a ROADMAP item
     def record(self, where: str, kind: str, t: int) -> None:
         """Append a point event (device hook; call with ``sim.now``)."""
-        self.events.append(TraceEvent(where, kind, t))
+        self._newest = (where, kind, t, self._newest)
 
     # lint: hot-ok(no-alloc-on-hot-path) — pooling is a ROADMAP item
     def fork(self) -> "TraceContext":
         """Independent child for a packet copy (multicast, per-order)."""
-        return TraceContext(
-            self.begin_ns, events=list(self.events), parent_id=self.trace_id
-        )
+        child = TraceContext(self.begin_ns)
+        child._newest = self._newest
+        return child
 
     def rebase(self, begin_ns: int) -> None:
         """Move the trace origin to the triggering event's timestamp."""
@@ -98,11 +100,17 @@ class TraceContext:
     def finish(self, end_ns: int) -> "Trace":
         """Freeze into a :class:`Trace` ending at ``end_ns``."""
         self.done = True
+        events = []
+        cell = self._newest
+        while cell is not None:
+            where, kind, t, cell = cell
+            events.append(TraceEvent(where, kind, t))
+        events.reverse()
         return Trace(
             trace_id=self.trace_id,
             begin_ns=self.begin_ns,
             end_ns=end_ns,
-            events=tuple(self.events),
+            events=tuple(events),
         )
 
 
@@ -121,21 +129,11 @@ class Trace:
         return self.end_ns - self.begin_ns
 
     def spans(self) -> list[Span]:
-        """Per-hop spans; sums to :attr:`rtt_ns` exactly.
-
-        Span *i* runs from event *i-1* (or ``begin_ns``) to event *i* and
-        is attributed to event *i*'s location and kind. Any remainder
-        after the last event (zero in normal wiring, where the final NIC
-        delivery *is* the measurement point) is attributed to delivery.
-        """
-        out: list[Span] = []
-        prev = self.begin_ns
-        for event in self.events:
-            out.append(Span(event.where, event.kind, event.t - prev))
-            prev = event.t
-        if prev != self.end_ns:
-            out.append(Span("delivery", "wire", self.end_ns - prev))
-        return out
+        """Per-hop spans (see :func:`iter_spans`); sums to :attr:`rtt_ns`."""
+        return [
+            Span(where, kind, duration_ns)
+            for where, kind, _start_ns, duration_ns in iter_spans(self)
+        ]
 
     def signature(self) -> tuple[tuple[str, str], ...]:
         """The hop sequence, for grouping same-path traces."""
@@ -159,3 +157,23 @@ class Trace:
                 TraceEvent(where, kind, int(t)) for where, kind, t in raw["events"]
             ),
         )
+
+
+def iter_spans(trace: Trace) -> Iterator[tuple[str, str, int, int]]:
+    """The span rule: ``(where, kind, start_ns, duration_ns)`` per hop.
+
+    Span *i* runs from event *i-1* (or ``begin_ns``) to event *i* and is
+    attributed to event *i*'s location and kind. Any remainder after the
+    last event (zero in normal wiring, where the final NIC delivery *is*
+    the measurement point) is attributed to ``delivery [wire]``, so the
+    durations always sum to :attr:`Trace.rtt_ns` exactly. Every consumer
+    of spans — :meth:`Trace.spans`, the tail observatory's per-hop
+    histograms, the Chrome exporter — derives them here.
+    """
+    prev = trace.begin_ns
+    for event in trace.events:
+        t = event.t
+        yield event.where, event.kind, prev, t - prev
+        prev = t
+    if prev != trace.end_ns:
+        yield "delivery", "wire", prev, trace.end_ns - prev

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from heapq import heappush, heapreplace
 
-from repro.telemetry.context import Trace, TraceContext
+from repro.telemetry.context import Trace, TraceContext, iter_spans
 from repro.telemetry.metrics import Histogram, MetricsRegistry
 from repro.telemetry.timeseries import (
     DEFAULT_MAX_WINDOWS,
@@ -129,7 +129,7 @@ class TelemetrySession:
         if (self._started - 1) % self.sample_interval:
             context = None
         else:
-            context = TraceContext(begin_ns=now)
+            context = TraceContext(now)
             context.record(where, kind, now)
         if profiler is not None:
             profiler.record_telemetry(profiler.clock() - begin)
@@ -167,9 +167,7 @@ class TelemetrySession:
         """Feed one finished trace into the tail observatory.
 
         Updates the slowest-trace exemplar heap and the per-(where,
-        kind) span histograms. Span attribution mirrors
-        :meth:`Trace.spans` but iterates the event tuple directly so
-        the hot path allocates no Span objects.
+        kind) span histograms, one sample per :func:`iter_spans` span.
         """
         self._finish_seq += 1
         rtt = trace.end_ns - trace.begin_ns
@@ -179,22 +177,13 @@ class TelemetrySession:
         elif rtt > slowest[0][0]:
             heapreplace(slowest, (rtt, -self._finish_seq, trace))
         span_hists = self._span_hists
-        prev = trace.begin_ns
-        for event in trace.events:
-            key = (event.where, event.kind)
+        for where, kind, _start_ns, duration_ns in iter_spans(trace):
+            key = (where, kind)
             hist = span_hists.get(key)
             if hist is None:
-                hist = self.metrics.histogram(f"span.{event.where}.{event.kind}_ns")
+                hist = self.metrics.histogram(f"span.{where}.{kind}_ns")
                 span_hists[key] = hist
-            hist.record(event.t - prev)
-            prev = event.t
-        if prev != trace.end_ns:
-            key = ("delivery", "wire")
-            hist = span_hists.get(key)
-            if hist is None:
-                hist = self.metrics.histogram("span.delivery.wire_ns")
-                span_hists[key] = hist
-            hist.record(trace.end_ns - prev)
+            hist.record(duration_ns)
 
     def tail_exemplars(self) -> list[Trace]:
         """The slowest finished traces, slowest first.

@@ -97,8 +97,6 @@ class CaptureTap(Component):
         self.forward_latency_ns = int(forward_latency_ns)
         self._through: dict[int, Link] = {}
         self.frames_seen = 0
-        # Precomputed stamp name: the per-frame path must not build it.
-        self._tap_stamp = f"tap.{name}"
 
     def set_through(self, side_a: Link, side_b: Link) -> None:
         """Frames arriving on either side forward out the other."""
@@ -109,7 +107,6 @@ class CaptureTap(Component):
     def handle_packet(self, packet: Packet, ingress: Link) -> None:
         timestamp = self.clock.read() if self.clock is not None else self.now
         self.frames_seen += 1
-        packet.stamp(self._tap_stamp, timestamp)
         self.appliance.ingest(
             CaptureRecord(
                 tap=self.name,

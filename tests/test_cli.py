@@ -87,6 +87,27 @@ def test_trace_command_rejects_unknown_design(capsys):
     assert "unknown design" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", "--design", "ticktotrade"],
+        ["report", "--design", "multivenue"],
+        ["report", "--tail", "--design", "ticktotrade"],
+    ],
+    ids=["trace", "report", "report-tail"],
+)
+def test_telemetry_commands_reject_designs_that_pin_telemetry_off(argv, capsys):
+    """Regression: these died with AttributeError on ``None.traces``; the
+    design is now refused up front, in one line, pointing at ``run``."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    assert argv[-1] in lines[0] and "pins telemetry off" in lines[0]
+    assert f"repro run --design {argv[-1]}" in lines[0]
+
+
 def test_trace_command_with_spec_file(tmp_path, capsys):
     from repro.core.config import SystemSpec
 

@@ -39,6 +39,20 @@ def test_every_spelled_cli_command_and_make_target_exists(capsys):
             assert target in targets, f"{path.name}: no `make {target}`"
 
 
+def test_ci_steps_and_verify_mirrors_are_make_targets():
+    """Every ``make <target>`` the CI job runs is one ``repro verify``
+    says it mirrors, and both sets are real Makefile targets — so a gate
+    added to one of the three places cannot be forgotten in the others."""
+    makefile = (REPO / "Makefile").read_text(encoding="utf-8")
+    targets = set(re.findall(r"^([a-z][\w-]*):", makefile, re.M))
+    ci = (REPO / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
+    ci_steps = set(re.findall(r"run: make ([a-z][\w-]*)", ci))
+    cli_source = (REPO / "src" / "repro" / "__main__.py").read_text(encoding="utf-8")
+    mirrored = set(re.findall(r"Mirrors[\s#]+`make ([a-z][\w-]*)`", cli_source))
+    assert "bench-collect" in ci_steps
+    assert ci_steps <= mirrored <= targets
+
+
 def test_every_spelled_cli_flag_exists_on_its_subcommand(capsys):
     """A ``--flag`` on the same line as ``python -m repro <cmd>`` /
     `` `repro <cmd>` `` (after it, up to the next spelled command) must

@@ -7,6 +7,7 @@ from repro.net.link import Link
 from repro.net.nic import HostStack, Nic
 from repro.net.packet import Packet
 from repro.sim.kernel import Simulator
+from repro.telemetry import TraceContext
 
 
 def _pair(sim, rx_latency=250, tx_latency=250):
@@ -84,10 +85,17 @@ def test_rx_timestamp_stamped_on_trail():
     a, b, _ = _pair(sim)
     got = []
     b.bind(got.append)
-    a.send(_packet(EndpointAddress("b")))
+    packet = _packet(EndpointAddress("b"))
+    packet.trace = TraceContext(0)
+    a.send(packet)
     sim.run()
-    assert got[0].first_stamp("nic.rx.nic.b") is not None
-    assert got[0].first_stamp("nic.tx.nic.a") == 0
+    events = got[0].trace.finish(sim.now).events
+    rx = [e for e in events if e.where == "nic.rx.nic.b"]
+    assert len(rx) == 1 and rx[0].kind == "wire"
+    # Hardware receive time: rx latency before the application sees it.
+    assert rx[0].t == sim.now - b.rx_latency_ns
+    assert a.stats.packets_sent == 1
+    assert b.stats.packets_received == b.stats.packets_delivered == 1
 
 
 def test_rx_latency_applied_before_delivery():

@@ -48,27 +48,18 @@ def test_packet_ids_unique():
     assert _packet().packet_id != _packet().packet_id
 
 
-def test_stamp_and_trail_queries():
+def test_packet_carries_no_per_hop_state():
+    """The trace context is the one per-hop record: the packet itself has
+    no trail, and an untraced packet clones to an untraced packet."""
+    assert Packet.__slots__ == (
+        "src", "dst", "wire_bytes", "payload_bytes", "message", "seqno",
+        "created_at", "packet_id", "trace",
+    )
     packet = _packet()
-    packet.stamp("nic.tx.a", 10)
-    packet.stamp("switch.s1", 20)
-    packet.stamp("switch.s2", 30)
-    packet.stamp("nic.rx.b", 40)
-    assert packet.first_stamp("switch") == 20
-    assert packet.last_stamp("switch") == 30
-    assert packet.first_stamp("nic") == 10
-    assert packet.first_stamp("tap") is None
-    assert packet.last_stamp("tap") is None
-
-
-def test_clone_copies_trail_with_fresh_identity():
-    packet = _packet()
-    packet.stamp("x", 1)
+    assert not hasattr(packet, "__dict__")
     copy = packet.clone()
     assert copy.packet_id != packet.packet_id
-    assert copy.trail == packet.trail
-    copy.stamp("y", 2)
-    assert len(packet.trail) == 1  # trails are independent after cloning
+    assert packet.trace is None and copy.trace is None
 
 
 def test_multicast_destination_flag():
@@ -97,29 +88,3 @@ def test_clone_of_padded_runt_keeps_minimum_frame():
     copy = _packet(wire=20, payload=10).clone()
     assert copy.wire_bytes == MIN_FRAME_BYTES
     assert copy.payload_bytes == 10
-
-
-def test_fanout_tree_trails_match_copy_on_clone_reference():
-    """12 hops with two 8-way fan-outs: clones share history yet every
-    leaf reads the trail a copy-the-list-on-clone packet would have."""
-    root = _packet()
-    frontier = [(root, [])]  # (packet, the trail a copied list would hold)
-    for hop in range(12):
-        if hop in (4, 8):
-            frontier = [
-                (packet.clone(), list(reference))
-                for packet, reference in frontier
-                for _ in range(8)
-            ]
-        for branch, (packet, reference) in enumerate(frontier):
-            where = f"switch.h{hop}.b{branch}"
-            packet.stamp(where, 100 * hop + branch)
-            reference.append((where, 100 * hop + branch))
-    assert len(frontier) == 64
-    for packet, reference in frontier:
-        assert packet.trail == reference
-        assert len(packet.trail) == 12
-        assert packet.first_stamp("switch.h0") == 0
-        assert packet.last_stamp("switch.h11") == reference[-1][1]
-    assert len({packet.packet_id for packet, _ in frontier}) == 64
-    assert len(root.trail) == 4  # the original stopped at the first fan-out

@@ -8,6 +8,7 @@ from repro.net.packet import Packet
 from repro.net.routing import compute_unicast_routes, routed_path
 from repro.net.topology import build_leaf_spine
 from repro.sim.kernel import Simulator
+from repro.telemetry import TraceContext
 
 
 def _built(n_racks=3, servers_per_rack=2, n_spines=2):
@@ -108,14 +109,14 @@ def test_end_to_end_delivery_cross_rack():
     src_nic.send(
         Packet(
             src=src_nic.address, dst=dst_nic.address,
-            wire_bytes=100, payload_bytes=50,
+            wire_bytes=100, payload_bytes=50, trace=TraceContext(0),
         )
     )
     sim.run()
     assert len(got) == 1
-    # The trail records exactly 3 switch traversals.
-    switch_stamps = [w for w, _ in got[0].trail if w.startswith("switch.")]
-    assert len(switch_stamps) == 3
+    # The trace records exactly 3 switch traversals.
+    events = got[0].trace.finish(sim.now).events
+    assert len([e for e in events if e.kind == "switch"]) == 3
 
 
 def test_paper_round_trip_is_twelve_switch_hops():

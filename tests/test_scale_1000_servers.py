@@ -15,6 +15,7 @@ from repro.net.routing import compute_unicast_routes
 from repro.net.topology import build_leaf_spine
 from repro.net.switch import CURRENT_GENERATION
 from repro.sim.kernel import Simulator
+from repro.telemetry import TraceContext
 
 
 @pytest.fixture(scope="module")
@@ -49,12 +50,15 @@ def test_unicast_works_across_the_full_fabric(fabric_1000):
     got = []
     dst.bind(got.append)
     src.send(
-        Packet(src=src.address, dst=dst.address, wire_bytes=100, payload_bytes=50)
+        Packet(
+            src=src.address, dst=dst.address, wire_bytes=100, payload_bytes=50,
+            trace=TraceContext(0),
+        )
     )
     sim.run_until_idle()
     assert len(got) == 1
-    hops = [w for w, _ in got[0].trail if w.startswith("switch.")]
-    assert len(hops) == 3
+    events = got[0].trace.finish(sim.now).events
+    assert len([e for e in events if e.kind == "switch"]) == 3
 
 
 def test_fib_capacity_supports_1000_servers(fabric_1000):

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core import build_system
+from repro.net.nic import Nic
+from repro.net.packet import Packet
 from repro.telemetry import (
     NETWORK_KINDS,
     Counter,
@@ -10,11 +12,15 @@ from repro.telemetry import (
     Histogram,
     MetricsRegistry,
     TelemetrySession,
+    TraceContext,
+    TraceEvent,
     decompose,
     read_traces_jsonl,
     render_decomposition,
     write_traces_jsonl,
 )
+from repro.telemetry.chrometrace import build_chrome_trace
+from repro.telemetry.context import iter_spans
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +98,67 @@ def test_design3_and_design4_also_decompose():
         assert any(r.kind == device_kind for r in deco.rows), design
 
 
+def test_fork_matches_copy_on_fork_reference():
+    """12 hops with two 8-way fan-outs: forks share history yet every
+    leaf finishes with the events a copy-the-list-on-fork context would
+    have — siblings independent after divergence, parent unaffected."""
+    root = TraceContext(0)
+    frontier = [(root, [])]  # (context, the events a copied list would hold)
+    for hop in range(12):
+        if hop in (4, 8):
+            frontier = [
+                (context.fork(), list(reference))
+                for context, reference in frontier
+                for _ in range(8)
+            ]
+        for branch, (context, reference) in enumerate(frontier):
+            where = f"switch.h{hop}.b{branch}"
+            context.record(where, "switch", 100 * hop + branch)
+            reference.append(TraceEvent(where, "switch", 100 * hop + branch))
+    assert len(frontier) == 64
+    for context, reference in frontier:
+        trace = context.finish(2_000)
+        assert trace.events == tuple(reference)  # oldest first
+        assert len(trace.events) == 12
+        assert sum(span.duration_ns for span in trace.spans()) == 2_000
+    assert len({context.trace_id for context, _ in frontier}) == 64
+    # The original stopped at the first fan-out; its forks never wrote to it.
+    assert [e.t for e in root.finish(2_000).events] == [0, 100, 200, 300]
+
+
+@pytest.mark.parametrize("end_ns", [500, 700], ids=["exact", "remainder"])
+def test_every_span_consumer_applies_the_one_rule(end_ns):
+    """iter_spans is the span rule; Trace.spans(), the tail observatory's
+    per-hop histograms and the Chrome "X" slices must all agree with it,
+    with and without a trailing ``delivery [wire]`` remainder."""
+    session = TelemetrySession()
+    context = session.start_trace("a", "exchange", 100)
+    context.record("b", "wire", 300)
+    context.record("c", "switch", 500)
+    trace = session.finish_trace(context, end_ns)
+
+    rule = list(iter_spans(trace))
+    assert sum(duration for *_, duration in rule) == trace.rtt_ns
+    assert (rule[-1][:2] == ("delivery", "wire")) == (end_ns != 500)
+    assert [(s.where, s.kind, s.duration_ns) for s in trace.spans()] == [
+        (where, kind, duration) for where, kind, _, duration in rule
+    ]
+    hists = session.span_histograms()
+    assert sorted(hists) == sorted((where, kind) for where, kind, *_ in rule)
+    for where, kind, _, duration in rule:
+        assert hists[(where, kind)].count == 1
+        assert hists[(where, kind)].total == duration
+    slices = [
+        (event["name"], event["cat"], event["ts"] * 1_000, event["dur"] * 1_000)
+        for event in build_chrome_trace(session)["traceEvents"]
+        if event["ph"] == "X"
+    ]
+    assert slices == [
+        (f"{where} [{kind}]", kind, pytest.approx(start), pytest.approx(duration))
+        for where, kind, start, duration in rule
+    ]
+
+
 # -- disabled path ---------------------------------------------------------
 
 
@@ -99,6 +166,23 @@ def test_disabled_by_default_no_traces_no_metrics():
     system = build_system(design="design1", seed=7)
     system.run(5_000_000)
     assert system.sim.telemetry is None
+
+
+def test_dark_run_carries_no_per_hop_state():
+    """With telemetry off nothing records where a packet went: every
+    delivered packet has ``trace is None`` and no other per-hop field."""
+    system = build_system(design="design1", seed=7)
+    delivered = []
+    for nic in system.of(Nic):
+        inner = nic._handler
+        if inner is not None:
+            nic.bind(lambda p, inner=inner: (delivered.append(p), inner(p)))
+    system.run(5_000_000)
+    assert len(delivered) > 100
+    assert all(type(p) is Packet and p.trace is None for p in delivered)
+    assert "trace" in Packet.__slots__
+    assert not any("trail" in slot or "stamp" in slot for slot in Packet.__slots__)
+    assert not hasattr(delivered[0], "__dict__")
 
 
 def test_telemetry_does_not_perturb_the_simulation(traced_design1):
