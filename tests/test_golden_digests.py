@@ -14,9 +14,17 @@ a change *means* to move simulated results, regenerate with::
 
     PYTHONPATH=src python tests/test_golden_digests.py
 
-and say in the PR which pins moved and why.
+and say in the change which pins moved and why.
+
+Two pin sets cover each case. ``GOLDEN`` hashes the whole deterministic
+dict. ``OBSERVABLE`` hashes the same dict without ``events_executed``:
+everything a run reports about the modelled system, none of the
+kernel's bookkeeping. A change that restructures events without moving
+a single simulated result re-pins ``GOLDEN`` and leaves ``OBSERVABLE``
+as it was.
 """
 
+import functools
 import hashlib
 import json
 
@@ -63,38 +71,82 @@ GOLDEN = {
     "scenario:cold-start": "7af6d3ed4fa09006340224d1995fa706f6de80410224f65913eb3514505cd303",
 }
 
+# The same runs without ``events_executed``, pinned at the commit before
+# link serialization and propagation were fused into one event.
+OBSERVABLE = {
+    "design1": "ab95a27dd9502802a7563049b65ebd9dc187a0d85ddace028c8c43b8e9b6ea80",
+    "design2": "051dc585cb71230094af907e7010d5433afbff199482747777f42304d28b32b8",
+    "design3": "f45240a0a7fd4a8fe3403651dd5e11a6c1ca6827cbfa8923e6fb962c03c83485",
+    "design4": "a267263c74cf4cb9821713fa909ec9a27573606fe6e45141c68849bfaa204c8c",
+    "wan": "df90287f85048849d1aec7570f36e57c2d89e23b5ee09d337af0679a268f5364",
+    "multivenue": "db72bcb992f147b22c51528d9ccfab48a75ba8d2ac4dc80d6c6b304ca6628eaa",
+    "ticktotrade": "5bde22eb2504a5ad6bb770c1873c9c9ff89f74519b10422ab3af5bcc10952b2a",
+    "design1-2norm": "ddbd5e8409510729225f0b66583cdc3dd7039e7f226d7ea20f8aab0de692cfff",
+    "design3-2norm": "4cba80e5c05cdcc174982090a9a7ab6b8f5623385c66804f83a7aeebfe72b61e",
+    "design1-telemetry": "000e32cce52ec3b37422144ad935493061a8853ef0d52df9048316dfd5ccf1a7",
+    "design4-2subs": "a1610073204286486c2d98d0a4563eb3c7da1547692cb66caa9939770c2dcd07",
+    "scenario:link-flap": "d8b5c3f5ce41cc3526bc9905d6190a940da545120fe140a69b2687a1c1a93b4e",
+    "scenario:feed-gap-storm": "eae906d92c290c30fec2956ab3b4cc0b3dae4b0ae9c8c28851406ed0373a8adf",
+    "scenario:switch-failover": "101621d120d7970a81316686da504f64d6dadd5cc31354870a4f6c3fa706a3b0",
+    "scenario:merge-saturation": "d64562df37c11640d8167d810dc4aae817b1427a5d392bbaa889af350042f59b",
+    "scenario:cold-start": "939de69824240ef828f8759787a9764a8b9b419ce47f3004b75dd0b3321b8bca",
+}
+
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def case_digest(name: str) -> str:
+def case_digests(name: str) -> tuple[str, str]:
+    """(full, observable) digests of one run of golden case ``name``."""
     result = run_spec(seed=1, run_ns=RUN_NS, **CASES[name])
     out = result.to_dict(deterministic=True)
     if name == "multivenue":
         for key in MULTIVENUE_UNPINNED:
             del out[key]
         out["histograms"].pop("roundtrip_ns", None)
-    return _sha(json.dumps(out, sort_keys=True))
+    full = _sha(json.dumps(out, sort_keys=True))
+    del out["events_executed"]
+    return full, _sha(json.dumps(out, sort_keys=True))
 
 
-def scenario_digest(name: str) -> str:
+def scenario_digests(name: str) -> tuple[str, str]:
+    """(full, observable) digests of one run of scenario ``name``."""
     scenario = SCENARIOS[name]
-    return _sha(render_json(scenario, run_spec(scenario.spec)))
+    text = render_json(scenario, run_spec(scenario.spec))
+    envelope = json.loads(text)
+    del envelope["result"]["events_executed"]
+    return _sha(text), _sha(json.dumps(envelope, sort_keys=True))
+
+
+# One run per case serves both pin sets.
+_case_digests = functools.lru_cache(maxsize=None)(case_digests)
+_scenario_digests = functools.lru_cache(maxsize=None)(scenario_digests)
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_design_digest_matches_golden(name):
-    assert case_digest(name) == GOLDEN[name]
+    assert _case_digests(name)[0] == GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_scenario_digest_matches_golden(name):
-    assert scenario_digest(name) == GOLDEN[f"scenario:{name}"]
+    assert _scenario_digests(name)[0] == GOLDEN[f"scenario:{name}"]
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_design_observable_digest_matches_pin(name):
+    assert _case_digests(name)[1] == OBSERVABLE[name]
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_scenario_observable_digest_matches_pin(name):
+    assert _scenario_digests(name)[1] == OBSERVABLE[f"scenario:{name}"]
 
 
 def test_golden_covers_every_design_and_scenario():
-    assert set(GOLDEN) == set(CASES) | {f"scenario:{n}" for n in SCENARIOS}
+    keys = set(CASES) | {f"scenario:{n}" for n in SCENARIOS}
+    assert set(GOLDEN) == keys == set(OBSERVABLE)
 
 
 def test_multivenue_reports_the_round_trips_both_venues_measured():
@@ -114,10 +166,11 @@ def test_multivenue_reports_the_round_trips_both_venues_measured():
 
 
 if __name__ == "__main__":  # regenerate the pins
-    for case in CASES:
-        print(f'    "{case}": "{case_digest(case)}",')
-    for scenario_name in SCENARIOS:
-        print(
-            f'    "scenario:{scenario_name}": '
-            f'"{scenario_digest(scenario_name)}",'
-        )
+    digests = {name: case_digests(name) for name in CASES}
+    for name in SCENARIOS:
+        digests[f"scenario:{name}"] = scenario_digests(name)
+    for title, index in (("GOLDEN", 0), ("OBSERVABLE", 1)):
+        print(f"{title} = {{")
+        for key, pair in digests.items():
+            print(f'    "{key}": "{pair[index]}",')
+        print("}")
