@@ -145,18 +145,25 @@ class FeedPublisher(Component):
         ]
         self._pending_bytes = [SEQUENCED_UNIT_HEADER_BYTES] * scheme.n_partitions
         self._flush_scheduled = [False] * scheme.n_partitions
+        # Group addresses, built once: partition -> group, and with
+        # distinct_leg_groups leg -> partition -> group.
+        partitions = range(scheme.n_partitions)
+        self._groups = [MulticastGroup(feed_name, p) for p in partitions]
+        self._leg_groups = {
+            leg: [MulticastGroup(f"{feed_name}.{leg}", p) for p in partitions]
+            for leg in ("A", "B")
+        }
         # Precomputed instrument names: emitted frames and the messages
         # coalesced into them, both windowed for the Fig. 2 event series.
         self._frames_series = f"exchange.{name}.frames"
         self._messages_series = f"exchange.{name}.messages"
 
-    # lint: hot-ok(no-alloc-on-hot-path) — pooling is a ROADMAP item
     def group(self, partition: int) -> MulticastGroup:
-        return MulticastGroup(self.feed_name, partition)
+        return self._groups[partition]
 
     @property
     def groups(self) -> list[MulticastGroup]:
-        return [self.group(p) for p in range(self.scheme.n_partitions)]
+        return list(self._groups)
 
     # -- publishing ---------------------------------------------------------------
 
@@ -207,15 +214,15 @@ class FeedPublisher(Component):
         if telemetry is not None:
             telemetry.count(self._messages_series, self.now, len(messages))
         payloads = self._units[partition].publish(messages)
-        group = self.group(partition)
+        group = self._groups[partition]
         for payload in payloads:
             self._emit(group, payload)
 
     def leg_group(self, partition: int, leg: str) -> MulticastGroup:
         """The group address for one leg of one partition."""
         if not self.distinct_leg_groups:
-            return self.group(partition)
-        return MulticastGroup(f"{self.feed_name}.{leg}", partition)
+            return self._groups[partition]
+        return self._leg_groups[leg][partition]
 
     # lint: hot-ok(no-alloc-on-hot-path) — pooling is a ROADMAP item
     def _emit(self, group: MulticastGroup, payload: bytes) -> None:
@@ -229,7 +236,7 @@ class FeedPublisher(Component):
             if nic is None:
                 continue
             dst = (
-                MulticastGroup(f"{group.feed}.{leg}", group.partition)
+                self._leg_groups[leg][group.partition]
                 if self.distinct_leg_groups
                 else group
             )

@@ -82,6 +82,9 @@ class Normalizer(Component):
         self.publish_nic = publish_nic
         self.out_feed = out_feed
         self.out_scheme = out_scheme
+        self._out_groups = [
+            MulticastGroup(out_feed, p) for p in range(out_scheme.n_partitions)
+        ]
         self.function_latency_ns = int(function_latency_ns)
         # When > 0, the normalizer is a *serial* server: each message
         # occupies the core for service_time_ns, and arrivals beyond the
@@ -281,7 +284,7 @@ class Normalizer(Component):
                 self.publish_nic.send(
                     Packet(
                         src=self.publish_nic.address,
-                        dst=MulticastGroup(self.out_feed, partition),
+                        dst=self._out_groups[partition],
                         wire_bytes=frame_bytes_udp(len(payload)),
                         payload_bytes=len(payload),
                         message=message,

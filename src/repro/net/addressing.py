@@ -11,6 +11,7 @@ across groups (e.g. PITCH splits alphabetically or by instrument type).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 @dataclass(frozen=True, slots=True)
@@ -24,8 +25,12 @@ class EndpointAddress:
         return f"{self.host}:{self.nic}"
 
 
-@dataclass(frozen=True, slots=True)
-class MulticastGroup:
+class _GroupFields(NamedTuple):
+    feed: str
+    partition: int = 0
+
+
+class MulticastGroup(_GroupFields):
     """A multicast group address.
 
     ``feed`` names the logical feed ("EXCH_A.PITCH", "norm.equities") and
@@ -33,14 +38,18 @@ class MulticastGroup:
     one entry per (group, ingress) pair it forwards, so the total number
     of distinct groups in use is the quantity the paper tracks against
     hardware table capacity.
+
+    A group is a tuple: every switch, NIC and strategy keys a dict on the
+    destination group of every feed frame, and a tuple hashes and compares
+    in C.
     """
 
-    feed: str
-    partition: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.partition < 0:
+    def __new__(cls, feed: str, partition: int = 0) -> "MulticastGroup":
+        if partition < 0:
             raise ValueError("partition index must be >= 0")
+        return super().__new__(cls, feed, partition)
 
     def __str__(self) -> str:
         return f"mcast:{self.feed}/{self.partition}"

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Protocol
 
 from repro.net.packet import Packet
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import EV_ARGS, EV_CANCELLED, Simulator
 
 # Ethernet preamble (8 B) + inter-frame gap (12 B) occupy line time per
 # frame but are not part of the frame length that Table 1 reports.
@@ -70,7 +70,17 @@ class LinkStats:
 
 
 class _Direction:
-    """One transmit direction of a full-duplex link."""
+    """One transmit direction of a full-duplex link.
+
+    The transmitter is busy until :attr:`busy_until`, the nanosecond the
+    current frame's last bit leaves it. A frame that finds it idle on a
+    lossless link is scheduled straight to its delivery at serialization
+    plus propagation: one event per hop. Frames that find it busy wait in
+    the FIFO, and one :meth:`_drain` event per frame starts them at the
+    previous frame's ``busy_until``. On a lossy link the loss is drawn
+    when the last bit leaves, so a frame there keeps a separate
+    :meth:`_serialization_done` event.
+    """
 
     def __init__(self, link: "Link", label: str, sink: PacketSink):
         self.link = link
@@ -79,7 +89,10 @@ class _Direction:
         self.sink = sink
         self.queue: deque[tuple[Packet, int]] = deque()  # (packet, enqueue time)
         self.queued_bytes = 0
-        self.transmitting = False
+        self.busy_until = 0
+        # The delivery event of the frame last started on the one-event
+        # path: the frame on the wire, which a loss change splits again.
+        self._on_wire: list | None = None
         self.stats = LinkStats()
         # Instrument names are precomputed so the telemetry-on hot path
         # pays no per-packet string formatting. Drops and losses are
@@ -97,27 +110,38 @@ class _Direction:
     def send(self, packet: Packet) -> bool:
         """Enqueue ``packet`` for transmission. Returns False if dropped."""
         sim = self.sim
+        now = sim.now
         wire_bytes = packet.wire_bytes
         limit = self.link.queue_limit_bytes
         telemetry = sim.telemetry
         if limit is not None and self.queued_bytes + wire_bytes > limit:
             self.stats.packets_dropped_queue += 1
             if telemetry is not None:
-                telemetry.count(self._drops_series, sim.now)
+                telemetry.count(self._drops_series, now)
             return False
-        if telemetry is None and not self.transmitting:
-            # Idle transmitter: the frame would leave the queue in the
-            # instant it entered, waiting 0 ns. Only a telemetry session
-            # observes that round trip (two depth-gauge writes).
+        queue = self.queue
+        idle = not queue and now >= self.busy_until
+        if idle and telemetry is None:
+            # The frame would leave the queue in the instant it entered,
+            # waiting 0 ns. Only a telemetry session observes that round
+            # trip (two depth-gauge writes).
             self._transmit(packet)
             return True
-        self.queue.append((packet, sim.now))
+        queue.append((packet, now))
         self.queued_bytes += wire_bytes
         if telemetry is not None:
-            telemetry.gauge_set(self._depth_series, sim.now, self.queued_bytes)
-        if not self.transmitting:
+            telemetry.gauge_set(self._depth_series, now, self.queued_bytes)
+        if idle:
             self._start_next()
+        elif len(queue) == 1:
+            sim.schedule_after(self.busy_until - now, self._drain)
         return True
+
+    def _drain(self) -> None:
+        """The transmitter went idle with frames queued: start the next."""
+        self._start_next()
+        if self.queue:
+            self.sim.schedule_after(self.busy_until - self.sim.now, self._drain)
 
     def _start_next(self) -> None:
         sim = self.sim
@@ -134,35 +158,54 @@ class _Direction:
         self._transmit(packet)
 
     def _transmit(self, packet: Packet) -> None:
+        sim = self.sim
+        link = self.link
         stats = self.stats
         wire_bytes = packet.wire_bytes
-        self.transmitting = True
-        ser = self.link.serialization_ns(wire_bytes)
+        ser = link._serialization_memo.get(wire_bytes)
+        if ser is None:
+            ser = link.serialization_ns(wire_bytes)
+        self.busy_until = sim.now + ser
         stats.busy_ns += ser
         stats.packets_sent += 1
         stats.bytes_sent += wire_bytes
-        self.sim.schedule_after(ser, self._serialization_done, (packet,))
+        if link._loss_prob > 0.0:
+            self._on_wire = None
+            sim.schedule_after(ser, self._serialization_done, (packet,))
+        else:
+            self._on_wire = sim.schedule_after(
+                ser + link.propagation_delay_ns, self._deliver, (packet,)
+            )
+
+    def _split_frame_on_wire(self) -> None:
+        """Give a one-event frame that is still serializing its
+        end-of-serialization event back, so that a loss probability set
+        now decides its fate when its last bit leaves."""
+        frame = self._on_wire
+        sim = self.sim
+        if frame is None or frame[EV_CANCELLED] or sim.now > self.busy_until:
+            return
+        sim.cancel(frame)
+        self._on_wire = None
+        sim.schedule_after(
+            self.busy_until - sim.now, self._serialization_done, frame[EV_ARGS]
+        )
 
     def _serialization_done(self, packet: Packet) -> None:
-        self.transmitting = False
         sim = self.sim
-        lost = False
-        if self.link.loss_prob > 0.0:
+        link = self.link
+        loss_prob = link._loss_prob
+        if loss_prob > 0.0:
             rng = self._loss_rng
             if rng is None:
                 rng = self._loss_rng = sim.rng.stream(self._loss_stream_name)
-            lost = rng.random() < self.link.loss_prob
-        if lost:
-            self.stats.packets_lost += 1
-            telemetry = sim.telemetry
-            if telemetry is not None:
-                telemetry.count(self._losses_series, sim.now)
-        else:
-            sim.schedule_after(
-                self.link.propagation_delay_ns, self._deliver, (packet,)
-            )
-        if self.queue:
-            self._start_next()
+            if rng.random() < loss_prob:
+                self.stats.packets_lost += 1
+                telemetry = sim.telemetry
+                if telemetry is not None:
+                    telemetry.count(self._losses_series, sim.now)
+                return
+        sim.schedule_after(link.propagation_delay_ns, self._deliver, (packet,))
 
     def _deliver(self, packet: Packet) -> None:
         self.stats.packets_delivered += 1
@@ -202,7 +245,7 @@ class Link:
         self._serialization_memo: dict[int, int] = {}
         self.bandwidth_bps = float(bandwidth_bps)
         self.propagation_delay_ns = int(propagation_delay_ns)
-        self.loss_prob = float(loss_prob)
+        self._loss_prob = float(loss_prob)
         self.queue_limit_bytes = queue_limit_bytes
         self._a_to_b = _Direction(self, "a->b", end_b)
         self._b_to_a = _Direction(self, "b->a", end_a)
@@ -218,6 +261,21 @@ class Link:
     def bandwidth_bps(self, value: float) -> None:
         self._bandwidth_bps = value
         self._serialization_memo.clear()
+
+    @property
+    def loss_prob(self) -> float:
+        """I.i.d. frame loss probability. Assignable mid-run (chaos
+        ``link_down`` / ``link_loss`` windows do); a frame still
+        serializing when it turns lossy is lost or kept when its last bit
+        leaves, as on a link that was lossy all along."""
+        return self._loss_prob
+
+    @loss_prob.setter
+    def loss_prob(self, value: float) -> None:
+        self._loss_prob = value
+        if value > 0.0:
+            self._a_to_b._split_frame_on_wire()
+            self._b_to_a._split_frame_on_wire()
 
     def serialization_ns(self, frame_bytes: int) -> int:
         """Line time for one frame, including preamble + inter-frame gap."""

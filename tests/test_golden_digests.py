@@ -1,11 +1,13 @@
 """Cross-commit golden pins: the one gate that proves a refactor changed nothing.
 
 Every other determinism gate in the tree is run-twice (same commit, same
-bytes). These pins compare against digests computed at the commit
-*before* the six hand-wired testbed builders were replaced by one
-role-graph builder, so a construction-order slip that moves a
-same-timestamp tie-break, an RNG stream name, or a telemetry instrument
-name fails here even though it would still be self-consistent.
+bytes). These pins compare against digests computed at an earlier
+commit, so a construction-order slip that moves an RNG stream name or a
+telemetry instrument name fails here even though it would still be
+self-consistent. The observable results were first pinned before the
+six hand-wired testbed builders became one role-graph builder; the full
+pins last moved when a link hop became one event, which changed only
+``events_executed``.
 
 A pin is the sha256 of the run's deterministic serialization
 (``RunResult.to_dict(deterministic=True)`` as sorted-key JSON; for the
@@ -53,22 +55,22 @@ CASES = {
 MULTIVENUE_UNPINNED = ("roundtrip", "notes")
 
 GOLDEN = {
-    "design1": "4b9aff8e1e08844fa76cf9f08a878865c4eb7362bc5c7c93812089ee94d52511",
-    "design2": "713875f56bb6cd990c33052b6c8deccb7d1b43148ad30490426722bb19ccd9c6",
-    "design3": "f129d81b2c7fc9d0ff192565dc95c2e609f081622ff950245ddcf97972c514dc",
-    "design4": "f2059d5d0c932e865a9094d3ec3b36a04d69a658a00a5c231f37d1dd0aba4c31",
-    "wan": "d200509dca72b0c3c4b80e045531b56b06e5f321654a43d197c2cfe7658cdf5f",
-    "multivenue": "d8f09ce857b84d52393dd394e8048769d57779435a82360386d932ff95b036ab",
-    "ticktotrade": "b599d5ced72dc416ff7a8fbbc7d4699e2e26fa1dacb862c21a6ab5937f90e3ad",
-    "design1-2norm": "dddb3a129d6904caae3f885817ae4deafa6054f42281a4b04fdfa0646a609a72",
-    "design3-2norm": "9285bbcff4cc2bdf1c0a41995e5586293ee34554d765c86bbb21bd263620c850",
-    "design1-telemetry": "ec562a196f325dfcbfdbcc0e9017053a34df8c6963b7b1ed7b73047a25349eff",
-    "design4-2subs": "9d87585f47d33869d545e83fc8b55a8921a22a627850a159fe2d3ddb105f2bee",
-    "scenario:link-flap": "b49b8f870e1ad708910caaefdde1e3ff77eb49aa40a551d0007113d362079d4c",
-    "scenario:feed-gap-storm": "1a15ac937ad1b5e97c40988b52ca5e668533b0813925c39801d48bbf6e33e434",
-    "scenario:switch-failover": "11d8cc2473bf3d7c65e6561cdbab2b09985e72c7319233dca48ef593c6001032",
-    "scenario:merge-saturation": "0f9b8bb97849132ce77dc78a6da2e1845fdc0a6e296a923d1d7092842969cfd0",
-    "scenario:cold-start": "7af6d3ed4fa09006340224d1995fa706f6de80410224f65913eb3514505cd303",
+    "design1": "0bd88e96c253c4d6ac465f7205c317dc6bcb5f09061496117e1c570fc9c01394",
+    "design2": "1c8d0b7c56d1d2f5ea3661051088e62a0eb88b929911bfddfc679d3bcd73d048",
+    "design3": "6d4ca5922d825edad9b22b73f20e95b3d657038fcdaf06ee6fe742eae6060523",
+    "design4": "b64f94f4b36fe459207cb300a0bb636735b55c10d840a0448280a7437b48c6b0",
+    "wan": "062fb628551a45b230d350504dd8496d7b4dceb991076a82b63a7a1e3abc2728",
+    "multivenue": "cfbf7a9a9220b5f60a229bac4fd56201b2083d29f679b401ce237ad433ffb324",
+    "ticktotrade": "be1d4b38ddd2beb0b9b873642b5fbdee0219ceca814bb9414e65316b9a831388",
+    "design1-2norm": "671b2728f5d3f19fb476b741d9c33a36bebc96a0d359694336049e0ac4d7b227",
+    "design3-2norm": "d5af7211d8ca1c5b66c45f1249c9a95a9f3b0fa6871c4050bc54cd14dc3fd7e6",
+    "design1-telemetry": "5c7740f03f6214043fcfbb247375459135fc65ce015d4fe7239fc2d34ffb173f",
+    "design4-2subs": "ed19264c8220962f7583b6e0bac252bb21c1c6dfea32e2c67ad1aff04d224f80",
+    "scenario:link-flap": "761fb632ffd39f8fa881594eb519b69392c41e2de53dfb2ffef8dd6378658ffa",
+    "scenario:feed-gap-storm": "84f4991711a6faf8c937a031aa5939da80ec55e5d9e6b3f6f47145da882005a4",
+    "scenario:switch-failover": "d44c927f0702769c18fcc4a0c3b814b945dbc9000ee07fb464d5cf97d40a942b",
+    "scenario:merge-saturation": "2d3ff2b252e3c1169b2aaf156f20a0b4b3d0169840749f2ce397af7fc1aac3bb",
+    "scenario:cold-start": "c4a385c19d2e358fa3e7c572fe6b2221b32e51f1c8c94e0e8404a4be8b9f4030",
 }
 
 # The same runs without ``events_executed``, pinned at the commit before

@@ -1,7 +1,11 @@
 """Tests for the link model: serialization, queueing, loss, propagation."""
 
+import sys
+
 import pytest
 
+from repro.chaos.inject import ChaosController
+from repro.chaos.spec import parse_faults
 from repro.net.addressing import EndpointAddress
 from repro.net.link import (
     ETHERNET_OVERHEAD_BYTES,
@@ -14,6 +18,7 @@ from repro.net.link import (
 )
 from repro.net.packet import Packet
 from repro.sim.kernel import Simulator
+from repro.sim.rng import RngStreams
 
 
 class Sink:
@@ -205,3 +210,114 @@ def test_idle_and_queued_frames_account_the_same_way():
     assert (stats.packets_sent, stats.bytes_sent, stats.busy_ns) == (3, 3000, 3 * ser)
     assert stats.queue_delay_total_ns == ser + 2 * ser
     assert stats.queue_delay_max_ns == 2 * ser
+
+
+def test_dark_idle_hop_is_one_event_and_five_python_calls():
+    """Serialization and propagation of a frame that meets an idle,
+    lossless transmitter are one kernel event: the delivery."""
+    sim = Simulator()
+    link, a, b = _wire(sim)
+    arrivals = []
+    b.handle_packet = lambda p, i: arrivals.append(sim.now)
+    link.serialization_ns(1000)  # memo warm, as on every hop but a size's first
+    sim.schedule_at(1_000, link.send, (_packet(wire=1000), a))
+    sim.run(until=999)
+    calls = []
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        sim.run()
+    finally:
+        sys.setprofile(None)
+    ser = link.serialization_ns(1000)
+    assert arrivals == [1_000 + ser + 100]
+    link_calls = [c for c in calls if c not in ("run", "<lambda>")]
+    assert len(link_calls) <= 5, link_calls
+    assert sim.events_executed == 2  # the send, then one event for the hop
+
+
+def test_back_to_back_frames_arrive_one_serialization_apart():
+    sim = Simulator()
+    link, a, b = _wire(sim, propagation_delay_ns=250)
+    arrivals = []
+    b.handle_packet = lambda p, i: arrivals.append(sim.now)
+    n, t = 5, 3_000
+
+    def burst():
+        for _ in range(n):
+            assert link.send(_packet(wire=1000), a)
+
+    sim.schedule_at(t, burst)
+    sim.run()
+    ser = link.serialization_ns(1000)
+    assert arrivals == [t + k * ser + 250 for k in range(1, n + 1)]
+    stats = link.stats_from(a)
+    assert stats.packets_delivered == n
+    assert stats.busy_ns == n * ser
+    assert stats.queue_delay_total_ns == sum(k * ser for k in range(n))
+    assert stats.queue_delay_max_ns == (n - 1) * ser
+    assert link.queued_bytes_from(a) == 0
+
+
+@pytest.mark.parametrize(
+    "opens_at, closes_at, delivered",
+    [
+        (400, 10_400, False),  # opens while the frame serializes: lost
+        (816, 10_816, False),  # opens the instant serialization ends: lost
+        (817, 10_817, True),  # opens while the frame propagates: kept
+        (0, 400, True),  # closes before serialization ends: kept
+    ],
+)
+def test_link_down_window_loses_a_frame_only_while_it_serializes(
+    opens_at, closes_at, delivered
+):
+    """Loss is decided when the last bit leaves the transmitter, as it
+    was when serialization and propagation were separate events."""
+    sim = Simulator(seed=1)
+    link, a, b = _wire(sim)
+    ChaosController(
+        sim, sim.components,
+        parse_faults([{"kind": "link_down", "target": "l", "at_ns": opens_at,
+                       "duration_ns": closes_at - opens_at}]),
+    )
+    assert link.serialization_ns(1000) == 816
+    sim.schedule_at(0 if opens_at else 100, link.send, (_packet(wire=1000), a))
+    sim.run_until_idle()
+    stats = link.stats_from(a)
+    assert (len(b.received), stats.packets_lost) == (
+        (1, 0) if delivered else (0, 1)
+    )
+    assert link.loss_prob == 0.0
+
+
+def test_lossy_link_draws_in_end_of_serialization_order():
+    """Both directions share the link's ``link.loss.<name>`` stream and
+    draw from it in the order their frames finish serializing."""
+    seed, loss = 3, 0.5
+    sim = Simulator(seed=seed)
+    link, a, b = _wire(sim, loss_prob=loss)
+    ab = [_packet(wire=1000) for _ in range(6)]  # 816 ns each
+    ba = [_packet(wire=500, payload=400) for _ in range(9)]  # 416 ns each
+    for packet in ab:
+        link.send(packet, a)
+    for packet in ba:
+        link.send(packet, b)
+    sim.run()
+    ends = sorted(
+        [(k * link.serialization_ns(1000), "ab", p) for k, p in enumerate(ab, 1)]
+        + [(k * link.serialization_ns(500), "ba", p) for k, p in enumerate(ba, 1)],
+        key=lambda end: end[0],
+    )
+    assert len({end for end, _, _ in ends}) == len(ends)  # no ties
+    rng = RngStreams(seed).stream("link.loss.l")
+    kept = {"ab": [], "ba": []}
+    for _end, direction, packet in ends:
+        if not rng.random() < loss:
+            kept[direction].append(packet)
+    assert b.received == kept["ab"]
+    assert a.received == kept["ba"]
+    assert 0 < len(b.received) + len(a.received) < len(ends)
