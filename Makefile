@@ -2,7 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: verify lint test bench bench-collect scoreboard report sweep-smoke \
-	trace-smoke scenario-smoke perf-smoke
+	trace-smoke scenario-smoke perf-smoke tie-order
 
 # The one gate: repro lint + ruff (when installed) + tier-1
 # pytest (which includes the full-tree lint gate) + the E-series
@@ -31,6 +31,13 @@ scenario-smoke:
 # handles (also chained into verify and its own CI step).
 perf-smoke:
 	$(PYTHON) perf/run.py --smoke
+
+# Three seeded shuffles of same-nanosecond event order across owners
+# (~7 s): every golden case and scenario must still report its
+# OBSERVABLE pin. Tier-1 runs the reversed order (also chained into
+# verify and its own CI step).
+tie-order:
+	$(PYTHON) -m tests.test_tie_order
 
 lint:
 	$(PYTHON) -m repro lint

@@ -271,7 +271,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     """Chain the gates: repro lint, ruff (if present), tier-1 pytest, the
-    E-series collect-only import check, the sweep smoke matrix with its
+    E-series collect-only import check, the tie-order shuffles, the
+    sweep smoke matrix with its
     workers=1-vs-N determinism check, the scenario and trace-export
     smokes, and the benchmark-harness smoke."""
     import os
@@ -281,7 +282,9 @@ def _cmd_verify(args) -> int:
 
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1])  # the src/ directory
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    repo = Path(src).parent
+    # The repository root too, so `-m tests.<module>` resolves.
+    env["PYTHONPATH"] = os.pathsep.join([src, str(repo), env.get("PYTHONPATH", "")])
 
     steps: list[tuple[str, list[str]]] = [
         ("repro lint", [sys.executable, "-m", "repro", "lint"]),
@@ -295,7 +298,7 @@ def _cmd_verify(args) -> int:
     # all of its files, so a public name deleted from src/ fails here, in
     # a second, not at scoreboard time. Mirrors `make bench-collect`; the
     # directory is not packaged, so an installed copy has nothing to check.
-    benchmarks = Path(src).parent / "benchmarks"
+    benchmarks = repo / "benchmarks"
     if benchmarks.is_dir():
         steps.append(
             (
@@ -306,6 +309,16 @@ def _cmd_verify(args) -> int:
         )
     else:
         print("verify: benchmarks/ not present; skipping the E-series import check")
+    # Tie-order shuffles: three seeded reorderings of same-nanosecond
+    # events across owners must leave every golden case and scenario on
+    # its observable pin. Mirrors `make tie-order`; tests/ is not
+    # packaged either.
+    if (repo / "tests" / "test_tie_order.py").exists():
+        steps.append(
+            ("tie-order shuffles", [sys.executable, "-m", "tests.test_tie_order"])
+        )
+    else:
+        print("verify: tests/ not present; skipping the tie-order shuffles")
     steps.append(
         ("sweep smoke", [sys.executable, "-m", "repro", "sweep", "--smoke"])
     )
@@ -343,7 +356,7 @@ def _cmd_verify(args) -> int:
     # fails here, in seconds, if a rename breaks one — not at benchmark
     # time. Mirrors `make perf-smoke`. perf/ is not packaged, so an
     # installed copy has nothing to check.
-    perf_run = Path(src).parent / "perf" / "run.py"
+    perf_run = repo / "perf" / "run.py"
     if perf_run.exists():
         steps.append(
             ("perf smoke (--smoke)", [sys.executable, str(perf_run), "--smoke"])

@@ -11,6 +11,15 @@ A link is where latency physically accrues:
   in for the egress buffer of whatever device feeds the link;
 * **loss** — i.i.d. frame loss, used for microwave links where rain fade
   makes loss a first-class design consideration (§2 of the paper).
+
+A frame that meets an idle transmitter on a lossless link costs one
+kernel event: its delivery, scheduled at serialization plus propagation
+when it starts. Queued frames are started by one drain event each, at
+the instant the previous frame's last bit leaves. Loss is drawn at that
+same instant, so a frame that starts on a lossy link (or is still
+serializing when ``Link.loss_prob`` turns it lossy) keeps a separate
+end-of-serialization event. Every arrival time, drop and loss draw is
+the one a link with separate serialization and propagation events gives.
 """
 
 from __future__ import annotations
@@ -73,13 +82,7 @@ class _Direction:
     """One transmit direction of a full-duplex link.
 
     The transmitter is busy until :attr:`busy_until`, the nanosecond the
-    current frame's last bit leaves it. A frame that finds it idle on a
-    lossless link is scheduled straight to its delivery at serialization
-    plus propagation: one event per hop. Frames that find it busy wait in
-    the FIFO, and one :meth:`_drain` event per frame starts them at the
-    previous frame's ``busy_until``. On a lossy link the loss is drawn
-    when the last bit leaves, so a frame there keeps a separate
-    :meth:`_serialization_done` event.
+    current frame's last bit leaves it, or while frames are queued.
     """
 
     def __init__(self, link: "Link", label: str, sink: PacketSink):
@@ -178,9 +181,9 @@ class _Direction:
             )
 
     def _split_frame_on_wire(self) -> None:
-        """Give a one-event frame that is still serializing its
-        end-of-serialization event back, so that a loss probability set
-        now decides its fate when its last bit leaves."""
+        """Split a one-event frame that is still serializing back into
+        two events, so that a loss probability set now decides its fate
+        when its last bit leaves."""
         frame = self._on_wire
         sim = self.sim
         if frame is None or frame[EV_CANCELLED] or sim.now > self.busy_until:

@@ -72,7 +72,8 @@ class TieOrderSimulator(Simulator):
         return rank
 
     def _push(self, time, callback, args, priority) -> list:
-        event = [time, priority, (self._rank(callback), self._seq), callback, args, False]
+        seq = (self._rank(callback), self._seq)
+        event = [time, priority, seq, callback, args, False]
         self._seq += 1
         heapq.heappush(self._queue, event)
         return event
