@@ -271,10 +271,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     """Chain the gates: repro lint, ruff (if present), tier-1 pytest, the
-    E-series collect-only import check, the tie-order shuffles, the
-    sweep smoke matrix with its
-    workers=1-vs-N determinism check, the scenario and trace-export
-    smokes, and the benchmark-harness smoke."""
+    E-series collect-only import check, the tie-order shuffles, the sweep
+    smoke matrix with its workers=1-vs-N determinism check, the scenario
+    and trace-export smokes, and the benchmark-harness smoke."""
     import os
     import shutil
     import subprocess
